@@ -198,7 +198,8 @@ def cmd_tradeoff(args) -> int:
         utility_kind = UtilityKind(config.get("utility_kind", "linear"))
         beta_grid = [float(b) for b in
                      config.get("beta_grid", np.linspace(0.0, 0.5, 50))]
-    except ValueError as exc:
+        configs = [TradeoffConfig(beta=b, utility_kind=utility_kind) for b in beta_grid]
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad tradeoff config: {exc}") from exc
     options = _options_from_sweep_rows(rows, n, k, d)
     if not any(o.kind in (LabelKind.SPARSE_SOFT, LabelKind.TOP_CLASS)
@@ -211,11 +212,10 @@ def cmd_tradeoff(args) -> int:
     panels = []
     panel_betas = {beta_grid[round(i * (len(beta_grid) - 1) / 3)]
                    for i in range(4)} if len(beta_grid) > 4 else set(beta_grid)
-    for beta in beta_grid:
-        cfg = TradeoffConfig(beta=beta, utility_kind=utility_kind)
+    for cfg in configs:
         table = costbenefit.tradeoff_table(options, cfg)
         table_rows.extend(table)
-        if beta in panel_betas:
+        if cfg.beta in panel_betas:
             series = {}
             hlines = {}
             for opt in options:
@@ -227,7 +227,7 @@ def cmd_tradeoff(args) -> int:
                     hlines[opt.kind.value] = value
             best = costbenefit.optimize_sparsity(options, cfg)
             panels.append({
-                "title": f"n={n} k={k} beta={beta:.4g}",
+                "title": f"n={n} k={k} beta={cfg.beta:.4g}",
                 "series": series, "hlines": hlines,
                 "marker": (best.k_hat, costbenefit.loss(best, cfg),
                            best.kind.value),

@@ -10,7 +10,13 @@ with projected subgradient descent: gradient step, projection onto the PSD
 cone, then double-centering (squared distances are centering-invariant, so
 this only removes the translation gauge and can only shrink the trace term).
 The best iterate seen is returned, so the reported final objective never
-exceeds the initial one.
+exceeds the initial one; diagnostics["stop_reason"] says which rule ended the
+run ("tolerance", "min_step" or "max_iterations").
+
+Each iteration makes one O(T) hinge pass, which gathers two entries per
+triplet from the m x m matrix D2, and one O(T) integer scatter
+(`_hinge_subgradient`). The candidate's hinge terms give both its objective
+and the next iteration's active set.
 """
 from __future__ import annotations
 
@@ -79,6 +85,15 @@ def _double_center(matrix: np.ndarray) -> np.ndarray:
     return matrix - row - col + matrix.mean()
 
 
+def _hinge_subgradient(flat_near: np.ndarray, flat_far: np.ndarray, m: int) -> np.ndarray:
+    """Sum of the hinge subgradients of triplets at flat (a, near), (a, far) indices.
+
+    W[a, j] counts far item j minus near item j at anchor a; integer sums are exact."""
+    weights = (np.bincount(flat_far, minlength=m * m)
+               - np.bincount(flat_near, minlength=m * m)).reshape(m, m)
+    return weights + weights.T - np.diag(weights.sum(axis=0))
+
+
 def solve(constraints: ConstraintSet, config: SolverConfig = SolverConfig()) -> GramMatrix:
     """Fit a Gram matrix to the constraint set by projected subgradient descent."""
     triplets = constraints.triplets
@@ -89,68 +104,52 @@ def solve(constraints: ConstraintSet, config: SolverConfig = SolverConfig()) -> 
     if triplets.min() < 0 or triplets.max() >= m:
         raise IndexError(f"constraint indices must lie in [0, {m})")
 
-    anchor, near, far = triplets[:, 0], triplets[:, 1], triplets[:, 2]
-    # Flat scatter targets of each hinge subgradient: +1 at (near,near),
-    # -1 at (far,far), -1 at (anchor,near)+(near,anchor), +1 at
-    # (anchor,far)+(far,anchor). The (anchor,anchor) terms cancel.
-    scatter_idx = np.concatenate([
-        near * m + near, far * m + far,
-        anchor * m + near, near * m + anchor,
-        anchor * m + far, far * m + anchor,
-    ])
-    signs = np.repeat(np.array([1.0, -1.0, -1.0, -1.0, 1.0, 1.0]), n_constraints)
-    flat_near = anchor * m + near
-    flat_far = anchor * m + far
-
+    flat_near = triplets[:, 0] * m + triplets[:, 1]
+    flat_far = triplets[:, 0] * m + triplets[:, 2]
     margin, lam = config.margin, config.lam
+    ridge = lam * np.eye(m)
 
-    def hinge_terms(k: np.ndarray) -> np.ndarray:
+    def evaluate(k: np.ndarray) -> tuple[np.ndarray, float]:
+        """Hinge terms and objective; ndarray.take is the fastest 1-D gather."""
         diag = np.einsum("ii->i", k)
-        d2_near = diag[anchor] + diag[near] - 2.0 * k.ravel()[flat_near]
-        d2_far = diag[anchor] + diag[far] - 2.0 * k.ravel()[flat_far]
-        return margin + d2_near - d2_far
-
-    def objective(k: np.ndarray) -> float:
-        hinges = hinge_terms(k)
-        return float(np.maximum(hinges, 0.0).sum() + lam * np.trace(k))
+        d2 = (diag[:, None] + diag[None, :] - 2.0 * k).ravel()
+        hinges = margin + d2.take(flat_near) - d2.take(flat_far)
+        return hinges, float(np.maximum(hinges, 0.0).sum() + lam * np.trace(k))
 
     gram = np.zeros((m, m))
-    obj = objective(gram)
-    initial_objective = obj
-    best_gram, best_obj = gram, obj
+    hinges, obj = evaluate(gram)
+    best_gram, best_obj, best_hinges = gram, obj, hinges
     eta = config.step_size if config.step_size is not None else 1.0 / n_constraints
     history = [best_obj]
-    iterations = 0
+    stop_reason = "max_iterations"
 
-    for _ in range(config.max_iterations):
-        iterations += 1
-        active = np.flatnonzero(np.tile(hinge_terms(gram) > 0.0, 6))
-        grad = np.bincount(scatter_idx[active], weights=signs[active],
-                           minlength=m * m).reshape(m, m) + lam * np.eye(m)
+    for iterations in range(1, config.max_iterations + 1):
+        active = np.flatnonzero(hinges > 0.0)
+        grad = _hinge_subgradient(flat_near.take(active), flat_far.take(active), m) + ridge
         candidate = _double_center(project_psd(gram - eta * grad))
-        candidate_obj = objective(candidate)
+        hinges, candidate_obj = evaluate(candidate)
         eta = eta * 0.5 if candidate_obj > obj else eta * _GROW
         gram, obj = candidate, candidate_obj
         if obj < best_obj:
-            best_gram, best_obj = gram, obj
+            best_gram, best_obj, best_hinges = gram, obj, hinges
         history.append(best_obj)
         if eta < _MIN_STEP:
+            stop_reason = "min_step"
             break
         if (len(history) > _WINDOW
                 and history[-1 - _WINDOW] - history[-1]
                 <= config.tolerance * max(1.0, abs(history[-1]))):
+            stop_reason = "tolerance"
             break
 
-    gram, obj = best_gram, best_obj
-    hinges = hinge_terms(gram)
-    satisfied = float(np.mean(hinges - margin < 0.0))
     diagnostics = {
-        "initial_objective": initial_objective,
-        "final_objective": obj,
+        "initial_objective": history[0],
+        "final_objective": best_obj,
         "iterations": iterations,
-        "satisfied_fraction": satisfied,
+        "satisfied_fraction": float(np.mean(best_hinges - margin < 0.0)),
+        "stop_reason": stop_reason,
     }
-    return GramMatrix(size=m, entries=gram, diagnostics=diagnostics)
+    return GramMatrix(size=m, entries=best_gram, diagnostics=diagnostics)
 
 
 def extract_embedding(gram: GramMatrix, h: int) -> np.ndarray:

@@ -9,8 +9,10 @@ result rows to keep the emitted sweep CSV byte-reproducible.
 from __future__ import annotations
 
 import hashlib
+import os
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields as dataclass_fields
 from multiprocessing import get_context
 
 import numpy as np
@@ -29,6 +31,7 @@ SWEEP_COLUMNS = ("n", "k", "d", "kind", "k_hat", "epsilon", "seed",
                  "satisfied_fraction", "c_hat", "loss", "status")
 
 _DEFAULT_SMOOTHING = 0.05
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def derive_seed(base_seed: int, **fields) -> int:
@@ -37,6 +40,13 @@ def derive_seed(base_seed: int, **fields) -> int:
     digest = hashlib.blake2b(payload.encode(), digest_size=8,
                              key=int(base_seed).to_bytes(8, "little")).digest()
     return int.from_bytes(digest, "little")
+
+
+def _reject_unknown(data: dict, schema: type, what: str) -> None:
+    """A misspelt key would otherwise fall back to its default without a word."""
+    unknown = sorted(set(data) - {f.name for f in dataclass_fields(schema)})
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +138,7 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
+        _reject_unknown(data, cls, "sweep config")
         kwargs = {}
         for name in ("n_grid", "k_grid", "d_grid", "epsilon_grid"):
             if name in data:
@@ -141,6 +152,7 @@ class SweepSpec:
             kwargs["solver"] = SolverConfig(**data["solver"])
         if "tradeoff" in data:
             t = data["tradeoff"]
+            _reject_unknown(t, TradeoffConfig, "tradeoff config")
             kwargs["tradeoff"] = TradeoffConfig(
                 beta=t["beta"],
                 utility_kind=UtilityKind(t.get("utility_kind", "linear")))
@@ -248,6 +260,24 @@ def _worker(args):
     return evaluate_cell(spec, cell)
 
 
+@contextmanager
+def _single_threaded_blas():
+    """Pin BLAS to one thread in processes spawned inside the block.
+
+    Each pool worker runs one cell at a time, so BLAS threads of their own
+    only oversubscribe the cores. A spawned worker imports numpy before any
+    pool initializer runs, so the variables must be in the parent's
+    environment at spawn time. Variables the user has set are left alone.
+    """
+    added = [name for name in _BLAS_THREAD_VARS if name not in os.environ]
+    os.environ.update(dict.fromkeys(added, "1"))
+    try:
+        yield
+    finally:
+        for name in added:
+            os.environ.pop(name, None)
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1):
     """All cells in deterministic order. Returns (rows, wall_times)."""
     cells = list(spec.cells())
@@ -257,7 +287,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1):
         spec_dict = spec.to_dict()
         jobs = [(spec_dict, (n, k, d, s.to_dict(), eps, rep))
                 for (n, k, d, s, eps, rep) in cells]
-        with get_context("spawn").Pool(processes=workers) as pool:
+        with _single_threaded_blas(), get_context("spawn").Pool(processes=workers) as pool:
             results = pool.map(_worker, jobs)  # map preserves submission order
     rows = [row for row, _ in results]
     times = [t for _, t in results]

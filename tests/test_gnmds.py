@@ -3,18 +3,136 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelinfo.gnmds import (GramMatrix, SolverConfig, extract_embedding,
+from labelinfo.gnmds import (_GROW, _MIN_STEP, _WINDOW, GramMatrix, SolverConfig,
+                             _double_center, _hinge_subgradient, extract_embedding,
                              gram_from_csv, gram_to_csv, project_psd, solve)
-from labelinfo.labels import hard_labels, soft_labels
+from labelinfo.labels import hard_labels, pca_encode, soft_labels
 from labelinfo.latentgen import generate_dataset
-from labelinfo.triplets import (ConstraintSet, geometric_consistency_rate,
-                                mine_from_hard, mine_from_soft)
+from labelinfo.triplets import (ConstraintSet, apply_noise, geometric_consistency_rate,
+                                mine_from_coordinates, mine_from_hard, mine_from_soft)
 
 
 def _toy_constraints():
     """0 closer to 1 than to 2, and 1 closer to 0 than to 2."""
     t = np.array([[0, 1, 2], [1, 0, 2]], dtype=np.int64)
     return ConstraintSet(n_points=3, n_centroids=0, triplets=t, source_kind="hard")
+
+
+def _reference_solve(constraints: ConstraintSet, config: SolverConfig) -> GramMatrix:
+    """The solver loop as first written, kept as an oracle for `solve`.
+
+    It evaluates the hinge terms twice per iteration, five gathers each, and
+    scatters six float-weighted terms per active triplet.
+    """
+    triplets = constraints.triplets
+    n_constraints, m = triplets.shape[0], constraints.m
+    anchor, near, far = triplets[:, 0], triplets[:, 1], triplets[:, 2]
+    scatter_idx = np.concatenate([
+        near * m + near, far * m + far,
+        anchor * m + near, near * m + anchor,
+        anchor * m + far, far * m + anchor,
+    ])
+    signs = np.repeat(np.array([1.0, -1.0, -1.0, -1.0, 1.0, 1.0]), n_constraints)
+    flat_near = anchor * m + near
+    flat_far = anchor * m + far
+    margin, lam = config.margin, config.lam
+
+    def hinge_terms(k):
+        diag = np.einsum("ii->i", k)
+        d2_near = diag[anchor] + diag[near] - 2.0 * k.ravel()[flat_near]
+        d2_far = diag[anchor] + diag[far] - 2.0 * k.ravel()[flat_far]
+        return margin + d2_near - d2_far
+
+    def objective(k):
+        return float(np.maximum(hinge_terms(k), 0.0).sum() + lam * np.trace(k))
+
+    gram = np.zeros((m, m))
+    obj = initial_objective = objective(gram)
+    best_gram, best_obj = gram, obj
+    eta = config.step_size if config.step_size is not None else 1.0 / n_constraints
+    history = [best_obj]
+    iterations = 0
+    for _ in range(config.max_iterations):
+        iterations += 1
+        active = np.flatnonzero(np.tile(hinge_terms(gram) > 0.0, 6))
+        grad = np.bincount(scatter_idx[active], weights=signs[active],
+                           minlength=m * m).reshape(m, m) + lam * np.eye(m)
+        candidate = _double_center(project_psd(gram - eta * grad))
+        candidate_obj = objective(candidate)
+        eta = eta * 0.5 if candidate_obj > obj else eta * _GROW
+        gram, obj = candidate, candidate_obj
+        if obj < best_obj:
+            best_gram, best_obj = gram, obj
+        history.append(best_obj)
+        if eta < _MIN_STEP:
+            break
+        if (len(history) > _WINDOW
+                and history[-1 - _WINDOW] - history[-1]
+                <= config.tolerance * max(1.0, abs(history[-1]))):
+            break
+    diagnostics = {
+        "initial_objective": initial_objective,
+        "final_objective": best_obj,
+        "iterations": iterations,
+        "satisfied_fraction": float(np.mean(hinge_terms(best_gram) - margin < 0.0)),
+    }
+    return GramMatrix(size=m, entries=best_gram, diagnostics=diagnostics)
+
+
+def _oracle_sets():
+    ds = generate_dataset(n=7, k=4, d=3, seed=21)
+    soft = mine_from_soft(soft_labels(ds))
+    return {
+        "hard": mine_from_hard(hard_labels(ds)),
+        "soft": soft,
+        "pca": mine_from_coordinates(pca_encode(ds, 2), ds.n),
+        "noisy": apply_noise(soft, 0.2, seed=3),
+    }
+
+
+@pytest.mark.parametrize("config", [
+    SolverConfig(),
+    SolverConfig(margin=0.5, lam=0.2, step_size=0.01, tolerance=1e-4, max_iterations=400),
+], ids=["default", "custom"])
+@pytest.mark.parametrize("kind", ["hard", "soft", "pca", "noisy"])
+def test_solve_matches_reference_loop_bit_for_bit(kind, config):
+    constraints = _oracle_sets()[kind]
+    expected = _reference_solve(constraints, config)
+    got = solve(constraints, config)
+    assert np.array_equal(got.entries, expected.entries)
+    diagnostics = dict(got.diagnostics)
+    assert diagnostics.pop("stop_reason") in {"tolerance", "min_step", "max_iterations"}
+    assert diagnostics == expected.diagnostics
+
+
+def test_hinge_subgradient_equals_dense_sum_of_per_triplet_terms():
+    rng = np.random.default_rng(4)
+    m = 6
+    triplets = rng.integers(0, m, size=(80, 3))  # repeats and coincident items too
+    eye = np.eye(m)
+    dense = np.zeros((m, m))
+    for a, near, far in triplets:
+        # d/dK of D2(a, near) - D2(a, far), where D2(i, j) = (e_i - e_j)^T K (e_i - e_j)
+        dense += (np.outer(eye[a] - eye[near], eye[a] - eye[near])
+                  - np.outer(eye[a] - eye[far], eye[a] - eye[far]))
+    got = _hinge_subgradient(triplets[:, 0] * m + triplets[:, 1],
+                             triplets[:, 0] * m + triplets[:, 2], m)
+    assert got.dtype.kind == "i"
+    assert np.array_equal(got, dense)
+
+
+@pytest.mark.parametrize("config, reason, iterations", [
+    (SolverConfig(), "tolerance", None),
+    (SolverConfig(max_iterations=3), "max_iterations", 3),
+    (SolverConfig(step_size=1e-20), "min_step", 1),
+])
+def test_solve_records_stop_reason(config, reason, iterations):
+    diag = solve(_toy_constraints(), config).diagnostics
+    assert diag["stop_reason"] == reason
+    if iterations is not None:
+        assert diag["iterations"] == iterations
+    else:
+        assert diag["iterations"] < config.max_iterations
 
 
 def test_solver_config_defaults_and_validation():
@@ -98,7 +216,7 @@ def test_solve_objective_never_worse_than_start():
     diag = gram.diagnostics
     assert diag["final_objective"] <= diag["initial_objective"] + 1e-12
     assert set(diag) == {"initial_objective", "final_objective",
-                         "iterations", "satisfied_fraction"}
+                         "iterations", "satisfied_fraction", "stop_reason"}
     assert 1 <= diag["iterations"] <= 2000
 
 

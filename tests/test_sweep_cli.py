@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from labelinfo.labels import LabelKind, soft_labels
 from labelinfo.latentgen import generate_dataset, similarity_matrix
 from labelinfo.metrics import effective_dimensionality, recovery_score
 from labelinfo.render import pivot_rows, pivot_to_csv, render_curve_panels, render_heatmap
-from labelinfo.sweep import (SignalSpec, SweepSpec, derive_seed,
-                             effective_dim_for_dataset, evaluate_cell,
+from labelinfo.sweep import (SignalSpec, SweepSpec, _single_threaded_blas,
+                             derive_seed, effective_dim_for_dataset, evaluate_cell,
                              rows_from_csv, rows_to_csv, run_sweep,
                              timings_to_csv)
 from labelinfo.triplets import constraints_to_csv, mine_from_soft
@@ -92,6 +93,19 @@ def test_run_sweep_serial_matches_parallel():
     rows1, _ = run_sweep(TINY, workers=1)
     rows2, _ = run_sweep(TINY, workers=2)
     assert rows_to_csv(rows1) == rows_to_csv(rows2)
+
+
+def test_single_threaded_blas_sets_only_unset_variables_and_restores(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    with _single_threaded_blas():
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"  # the user's value stays
+        assert os.environ["OMP_NUM_THREADS"] == "1"
+        assert os.environ["MKL_NUM_THREADS"] == "1"
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    assert "OMP_NUM_THREADS" not in os.environ
+    assert "MKL_NUM_THREADS" not in os.environ
 
 
 def test_rows_csv_round_trip():
@@ -269,3 +283,27 @@ def test_cli_usage_errors(tmp_path):
     tr_cfg = _write_config(tmp_path, "t.json", {
         "sweep_csv": str(out / "sweep.csv"), "n": 3, "k": 4, "d": 3})
     assert main(["tradeoff", "--config", tr_cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
+    with pytest.raises(ValueError, match="k_grd"):
+        SweepSpec.from_dict({"k_grd": [3]})
+    typo = _write_config(tmp_path, "typo.json", {"k_grd": [3]})
+    out = tmp_path / "typo"
+    assert main(["simulate", "--config", typo, "--out", str(out)]) == 2
+    assert "k_grd" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+    nested = _write_config(tmp_path, "nested.json",
+                           {"reps": 1, "tradeoff": {"beta": 0.1, "utilty_kind": "log"}})
+    assert main(["simulate", "--config", nested, "--out", str(out)]) == 2
+    assert "utilty_kind" in capsys.readouterr().err
+
+
+def test_cli_tradeoff_negative_beta_is_usage_error(tmp_path, capsys):
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_text(rows_to_csv([]))
+    cfg = _write_config(tmp_path, "t.json", {
+        "sweep_csv": str(sweep_csv), "n": 3, "k": 4, "d": 3,
+        "beta_grid": [-0.1, 0.1]})
+    assert main(["tradeoff", "--config", cfg, "--out", str(tmp_path / "tr")]) == 2
+    assert "beta must be >= 0" in capsys.readouterr().err
