@@ -240,9 +240,13 @@ def cmd_tradeoff(args) -> int:
     return 0
 
 
+_SPARSITY_KEYS = ("n", "k", "d", "k_hat_grid", "reps", "sigma", "base_seed", "solver")
+
+
 def cmd_sparsity(args) -> int:
     config = _load_config(args.config)
     try:
+        sweep.reject_unknown_keys(config, _SPARSITY_KEYS, "sparsity config")
         n = int(config.get("n", 20))
         k = int(config.get("k", 20))
         d = int(config.get("d", 5))

@@ -2,8 +2,10 @@
 
 Costs are normalized to hard-label units per point: a hard label costs 1, a
 dense soft label k, and the partial signals (sparse, top-class, coordinate)
-cost one unit per elicited component. The utility scale b and per-component
-price c are both absorbed into beta.
+cost one unit per elicited component. A sparse or top-class label keeps at
+most its k class scores, while the n + k items have up to n + k principal
+components, so a coordinate label's k_hat may exceed k. The utility scale b
+and per-component price c are both absorbed into beta.
 """
 from __future__ import annotations
 
@@ -68,8 +70,9 @@ def cost(kind: LabelKind, n: int, k: int, k_hat: int | None = None) -> float:
     if kind in _PER_COMPONENT:
         if k_hat is None:
             raise ValueError(f"{kind.value} cost requires k_hat")
-        if not 1 <= k_hat <= k:
-            raise ValueError(f"k_hat must lie in [1, {k}], got {k_hat}")
+        top = n + k if kind is LabelKind.PCA_COORDS else k
+        if not 1 <= k_hat <= top:
+            raise ValueError(f"k_hat must lie in [1, {top}], got {k_hat}")
         return float(k_hat)
     raise ValueError(f"no cost model for kind {kind!r}")
 

@@ -13,6 +13,15 @@ The best iterate seen is returned, so the reported final objective never
 exceeds the initial one; diagnostics["stop_reason"] says which rule ended the
 run ("tolerance", "min_step" or "max_iterations").
 
+A run stops on "tolerance" when the best objective has fallen by less than
+`tolerance` (relative) over the last `_WINDOW` iterations. The default of
+1e-4 is set by recovery, which settles long before the objective stops
+falling. Under 1e-6, 31 of the 470 solves in the acceptance battery's
+few-shot and sparsity sweeps, and 64 of the 288 in its effective-dimension
+check, ran to the 2,000-iteration cap, so their rho depended on the cap.
+Under 1e-4 every one of them stops on the tolerance rule, after 56% as many
+iterations in total, and no sweep row's rho moves by more than 0.0064.
+
 Each iteration makes one O(T) hinge pass, which gathers two entries per
 triplet from the m x m matrix D2, and one O(T) integer scatter
 (`_hinge_subgradient`). The candidate's hinge terms give both its objective
@@ -27,7 +36,9 @@ import numpy as np
 from .triplets import ConstraintSet
 
 # Convergence is declared when the best objective improves by less than
-# tolerance (relative) over this many consecutive iterations.
+# tolerance (relative) over this many consecutive iterations. At the default
+# tolerance of 1e-4 a solve stops once its best objective falls by under
+# 0.01% per 10 iterations; why 1e-4 is in the module docstring.
 _WINDOW = 10
 _MIN_STEP = 1e-18
 # Step growth on a non-increasing move. The subgradient iterate must keep
@@ -43,7 +54,7 @@ class SolverConfig:
     lam: float = 0.05
     step_size: float | None = None  # None -> 1 / |constraints|
     max_iterations: int = 2000
-    tolerance: float = 1e-6
+    tolerance: float = 1e-4
     seed: int = 0  # reserved for optional random restarts; base run is deterministic
 
     def __post_init__(self):

@@ -28,7 +28,8 @@ from .metrics import PcaCurve, effective_dimensionality, recovery_score
 
 SWEEP_COLUMNS = ("n", "k", "d", "kind", "k_hat", "epsilon", "seed",
                  "constraint_count", "information_ratio", "rho",
-                 "satisfied_fraction", "c_hat", "loss", "status")
+                 "satisfied_fraction", "c_hat", "loss", "iterations",
+                 "stop_reason", "final_objective", "status")
 
 _DEFAULT_SMOOTHING = 0.05
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -42,11 +43,15 @@ def derive_seed(base_seed: int, **fields) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _reject_unknown(data: dict, schema: type, what: str) -> None:
+def reject_unknown_keys(data: dict, known, what: str) -> None:
     """A misspelt key would otherwise fall back to its default without a word."""
-    unknown = sorted(set(data) - {f.name for f in dataclass_fields(schema)})
+    unknown = sorted(set(data) - set(known))
     if unknown:
         raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+
+
+def _field_names(schema: type) -> set:
+    return {f.name for f in dataclass_fields(schema)}
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,7 @@ class SignalSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SignalSpec":
+        reject_unknown_keys(data, _field_names(cls), "signal")
         return cls(kind=LabelKind(data["kind"]), k_hat=data.get("k_hat"),
                    param=data.get("param"))
 
@@ -138,7 +144,7 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        _reject_unknown(data, cls, "sweep config")
+        reject_unknown_keys(data, _field_names(cls), "sweep config")
         kwargs = {}
         for name in ("n_grid", "k_grid", "d_grid", "epsilon_grid"):
             if name in data:
@@ -152,7 +158,7 @@ class SweepSpec:
             kwargs["solver"] = SolverConfig(**data["solver"])
         if "tradeoff" in data:
             t = data["tradeoff"]
-            _reject_unknown(t, TradeoffConfig, "tradeoff config")
+            reject_unknown_keys(t, _field_names(TradeoffConfig), "tradeoff config")
             kwargs["tradeoff"] = TradeoffConfig(
                 beta=t["beta"],
                 utility_kind=UtilityKind(t.get("utility_kind", "linear")))
@@ -184,8 +190,7 @@ def build_labels(dataset: LatentDataset, signal: SignalSpec) -> LabelSet:
         reference = similarity_matrix(dataset.points)
         return topclass_labels(soft_labels(dataset), signal.k_hat, reference)
     if kind is LabelKind.PCA_COORDS:
-        k_eff = min(signal.k_hat, dataset.d, dataset.n + dataset.k)
-        return pca_encode(dataset, k_eff)
+        return pca_encode(dataset, _effective_k_hat(signal, dataset))
     raise ValueError(f"no label builder for kind {kind!r}")
 
 
@@ -197,9 +202,14 @@ def mine_constraints(labels: LabelSet, n_points: int) -> triplets.ConstraintSet:
     return triplets.mine_from_soft(labels)
 
 
+def _pca_width(dataset: LatentDataset) -> int:
+    """Most principal components `pca_encode` accepts here: min(d, n + k)."""
+    return min(dataset.d, dataset.n + dataset.k)
+
+
 def _effective_k_hat(signal: SignalSpec, dataset: LatentDataset) -> int | None:
     if signal.kind is LabelKind.PCA_COORDS:
-        return min(signal.k_hat, dataset.d, dataset.n + dataset.k)
+        return min(signal.k_hat, _pca_width(dataset))
     return signal.k_hat
 
 
@@ -212,11 +222,10 @@ def evaluate_cell(spec: SweepSpec, cell) -> tuple[dict, float]:
     n, k, d, signal, eps, rep = cell
     ds_seed = derive_seed(spec.base_seed, n=n, k=k, d=d, rep=rep)
     k_hat_requested = signal.k_hat
-    row = {"n": n, "k": k, "d": d, "kind": signal.kind.value,
-           "k_hat": "" if k_hat_requested is None else k_hat_requested,
-           "epsilon": eps, "seed": ds_seed,
-           "constraint_count": "", "information_ratio": "", "rho": "",
-           "satisfied_fraction": "", "c_hat": "", "loss": "", "status": "ok"}
+    row = dict.fromkeys(SWEEP_COLUMNS, "")
+    row.update({"n": n, "k": k, "d": d, "kind": signal.kind.value,
+                "k_hat": "" if k_hat_requested is None else k_hat_requested,
+                "epsilon": eps, "seed": ds_seed, "status": "ok"})
     start = time.perf_counter()
     try:
         dataset = generate_dataset(n=n, k=k, d=d, sigma=spec.sigma, seed=ds_seed)
@@ -245,6 +254,9 @@ def evaluate_cell(spec: SweepSpec, cell) -> tuple[dict, float]:
             "satisfied_fraction": gram.diagnostics["satisfied_fraction"],
             "c_hat": c_hat,
             "loss": costbenefit.loss(option, spec.tradeoff),
+            "iterations": gram.diagnostics["iterations"],
+            "stop_reason": gram.diagnostics["stop_reason"],
+            "final_objective": gram.diagnostics["final_objective"],
         })
     except Exception as exc:  # cell failures are data, not crashes
         message = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
@@ -329,7 +341,7 @@ def pca_recovery_curve(dataset: LatentDataset, k_hats,
                        solver: SolverConfig = SolverConfig()) -> PcaCurve:
     """Recovery rho as a function of retained principal components."""
     truth = similarity_matrix(dataset.all_items())
-    cap = min(dataset.d, dataset.n + dataset.k)
+    cap = _pca_width(dataset)
     usable = sorted({min(int(kh), cap) for kh in k_hats})
     points = []
     for k_hat in usable:
@@ -351,7 +363,7 @@ def effective_dim_for_dataset(dataset: LatentDataset,
     gram = solve(triplets.mine_from_soft(soft), solver)
     rho_soft = recovery_score(gram, similarity_matrix(dataset.all_items()))
     if k_hats is None:
-        k_hats = range(1, min(dataset.d, dataset.n + dataset.k) + 1)
+        k_hats = range(1, _pca_width(dataset) + 1)
     curve = pca_recovery_curve(dataset, k_hats, solver)
     k_hat, saturated = effective_dimensionality(rho_soft, curve)
     return k_hat, saturated, rho_soft, curve

@@ -22,6 +22,7 @@ def test_cost_schedule():
     assert cost(LabelKind.SPARSE_SOFT, 10, 7, k_hat=3) == 3.0
     assert cost(LabelKind.TOP_CLASS, 10, 7, k_hat=2) == 2.0
     assert cost(LabelKind.PCA_COORDS, 10, 7, k_hat=5) == 5.0
+    assert cost(LabelKind.PCA_COORDS, 10, 7, k_hat=17) == 17.0  # up to n + k
 
 
 def test_cost_validation():
@@ -31,6 +32,10 @@ def test_cost_validation():
         cost(LabelKind.SPARSE_SOFT, 10, 7, k_hat=0)
     with pytest.raises(ValueError):
         cost(LabelKind.SPARSE_SOFT, 10, 7, k_hat=8)  # above k
+    with pytest.raises(ValueError):
+        cost(LabelKind.TOP_CLASS, 10, 7, k_hat=8)
+    with pytest.raises(ValueError):
+        cost(LabelKind.PCA_COORDS, 10, 7, k_hat=18)  # above n + k
     with pytest.raises(ValueError):
         cost(LabelKind.HARD, 0, 7)
 

@@ -8,6 +8,7 @@ from labelinfo.gnmds import (_GROW, _MIN_STEP, _WINDOW, GramMatrix, SolverConfig
                              gram_from_csv, gram_to_csv, project_psd, solve)
 from labelinfo.labels import hard_labels, pca_encode, soft_labels
 from labelinfo.latentgen import generate_dataset
+from labelinfo.sweep import derive_seed
 from labelinfo.triplets import (ConstraintSet, apply_noise, geometric_consistency_rate,
                                 mine_from_coordinates, mine_from_hard, mine_from_soft)
 
@@ -135,10 +136,20 @@ def test_solve_records_stop_reason(config, reason, iterations):
         assert diag["iterations"] < config.max_iterations
 
 
+def test_default_tolerance_stops_a_large_solve_before_the_cap():
+    # battery check 6's (20, 20) dataset at rep 0, PCA k_hat = 2: 29,640 triplets,
+    # which ran to the 2,000-iteration cap under a tolerance of 1e-6
+    ds = generate_dataset(n=20, k=20, d=5, seed=derive_seed(23, n=20, k=20, d=5, rep=0))
+    diag = solve(mine_from_coordinates(pca_encode(ds, 2), ds.n)).diagnostics
+    assert diag["stop_reason"] == "tolerance"
+    assert diag["iterations"] < SolverConfig().max_iterations
+
+
 def test_solver_config_defaults_and_validation():
     cfg = SolverConfig()
     assert cfg.margin == 1.0 and cfg.lam == 0.05
     assert cfg.step_size is None and cfg.max_iterations == 2000
+    assert cfg.tolerance == 1e-4
     with pytest.raises(ValueError):
         SolverConfig(margin=-1.0)
     with pytest.raises(ValueError):

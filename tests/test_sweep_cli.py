@@ -1,16 +1,20 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import labelinfo
 from labelinfo.cli import main
 from labelinfo.gnmds import gram_from_csv, solve
 from labelinfo.labels import LabelKind, soft_labels
 from labelinfo.latentgen import generate_dataset, similarity_matrix
 from labelinfo.metrics import effective_dimensionality, recovery_score
 from labelinfo.render import pivot_rows, pivot_to_csv, render_curve_panels, render_heatmap
-from labelinfo.sweep import (SignalSpec, SweepSpec, _single_threaded_blas,
+from labelinfo.sweep import (SWEEP_COLUMNS, SignalSpec, SweepSpec, _single_threaded_blas,
                              derive_seed, effective_dim_for_dataset, evaluate_cell,
                              rows_from_csv, rows_to_csv, run_sweep,
                              timings_to_csv)
@@ -37,6 +41,8 @@ def test_signal_spec_round_trip_and_validation():
         SignalSpec(LabelKind.PCA_COORDS)  # k_hat required
     plain = SignalSpec(LabelKind.SOFT)
     assert plain.to_dict() == {"kind": "soft"}
+    with pytest.raises(ValueError, match="parm"):
+        SignalSpec.from_dict({"kind": "smoothed", "parm": 0.3})
 
 
 def test_sweep_spec_round_trip_and_validation():
@@ -68,6 +74,9 @@ def test_evaluate_cell_ok_row():
     assert row["constraint_count"] == 4 * 3 * (4 + 3 - 2) // 2
     assert -1.0 <= row["rho"] <= 1.0
     assert row["c_hat"] == 4.0
+    assert row["stop_reason"] in {"tolerance", "min_step", "max_iterations"}
+    assert 1 <= row["iterations"] <= TINY.solver.max_iterations
+    assert row["final_objective"] > 0
     assert wall > 0
     # paired datasets: hard cell at same (n,k,d,rep) shares the seed
     hard_row, _ = evaluate_cell(TINY, (3, 4, 3, SignalSpec(LabelKind.HARD), 0.0, 0))
@@ -111,6 +120,9 @@ def test_single_threaded_blas_sets_only_unset_variables_and_restores(monkeypatch
 def test_rows_csv_round_trip():
     rows, times = run_sweep(TINY, workers=1)
     text = rows_to_csv(rows)
+    assert text.splitlines()[0] == ",".join(SWEEP_COLUMNS) == (
+        "n,k,d,kind,k_hat,epsilon,seed,constraint_count,information_ratio,rho,"
+        "satisfied_fraction,c_hat,loss,iterations,stop_reason,final_objective,status")
     back = rows_from_csv(text)
     assert len(back) == len(rows)
     assert back[0]["kind"] == rows[0]["kind"]
@@ -129,6 +141,13 @@ def test_pca_signal_records_effective_k_hat():
     assert rows[0]["status"] == "ok"
     assert rows[0]["k_hat"] == 2  # capped at d
     assert rows[0]["c_hat"] == 2.0
+    # k_hat above k: d = 5 < n + k = 6 components, each priced at one unit
+    spec = SweepSpec(n_grid=(3,), k_grid=(3,), d_grid=(5,),
+                     signals=(SignalSpec(LabelKind.PCA_COORDS, k_hat=5),), reps=1)
+    rows, _ = run_sweep(spec, workers=1)
+    assert rows[0]["status"] == "ok"
+    assert rows[0]["k_hat"] == 5
+    assert rows[0]["c_hat"] == 5.0
 
 
 @pytest.mark.parametrize("n, k, d", [(3, 4, 3), (1, 2, 5)])
@@ -211,6 +230,25 @@ def test_cli_simulate_and_determinism(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out3),
                  "--seed", "6"]) == 0
     assert (out1 / "sweep.csv").read_text() != (out3 / "sweep.csv").read_text()
+
+
+def test_cli_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # m = 45 items: large enough that OpenBLAS runs the solver's eigh on both
+    # threads when it has two
+    cfg = _write_config(tmp_path, "spec.json", {
+        "n_grid": [5], "k_grid": [40], "d_grid": [5], "reps": 1,
+        "signals": [{"kind": "hard"}, {"kind": "soft"}], "base_seed": 3})
+    src = str(Path(labelinfo.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-c", "from labelinfo.cli import entrypoint; entrypoint()",
+                        "simulate", "--config", cfg, "--out", str(out)],
+                       env=env, check=True, timeout=300)
+        outputs.append((out / "sweep.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_analyze(tmp_path):
@@ -297,6 +335,14 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
                            {"reps": 1, "tradeoff": {"beta": 0.1, "utilty_kind": "log"}})
     assert main(["simulate", "--config", nested, "--out", str(out)]) == 2
     assert "utilty_kind" in capsys.readouterr().err
+    signal = _write_config(tmp_path, "signal.json",
+                           {"signals": [{"kind": "smoothed", "parm": 0.3}]})
+    assert main(["simulate", "--config", signal, "--out", str(out)]) == 2
+    assert "parm" in capsys.readouterr().err
+    sparsity = _write_config(tmp_path, "sparsity.json", {"sigmaa": 0.9})
+    assert main(["sparsity", "--config", sparsity, "--out", str(out)]) == 2
+    assert "sigmaa" in capsys.readouterr().err
+    assert not (out / "sparsity.csv").exists()
 
 
 def test_cli_tradeoff_negative_beta_is_usage_error(tmp_path, capsys):
