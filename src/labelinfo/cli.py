@@ -250,11 +250,15 @@ def cmd_sparsity(args) -> int:
         n = int(config.get("n", 20))
         k = int(config.get("k", 20))
         d = int(config.get("d", 5))
-        k_hat_grid = sorted({int(v) for v in
-                             config.get("k_hat_grid", (1, 2, 3, 5, 10))
-                             if 1 <= int(v) <= k})
+        if "k_hat_grid" in config:
+            k_hat_grid = sorted({int(v) for v in config["k_hat_grid"]})
+            outside = [v for v in k_hat_grid if not 1 <= v <= k]
+            if outside:
+                raise ValueError(f"k_hat_grid value {outside[0]} lies outside [1, {k}]")
+        else:
+            k_hat_grid = [v for v in (1, 2, 3, 5, 10) if v <= k]
         if not k_hat_grid:
-            raise ValueError("k_hat_grid has no usable values in [1, k]")
+            raise ValueError(f"k_hat_grid has no values in [1, {k}]")
         signals = [sweep.SignalSpec(LabelKind.HARD), sweep.SignalSpec(LabelKind.SOFT)]
         for kind in (LabelKind.SPARSE_SOFT, LabelKind.TOP_CLASS,
                      LabelKind.PCA_COORDS):

@@ -131,8 +131,14 @@ def column_mutual_information(column: np.ndarray, reference: SimilarityMatrix,
     the mutual information of the joint histogram. Non-negative by
     construction; exactly 0 for a constant column.
     """
-    col = np.asarray(column, dtype=float)
-    n = col.shape[0]
+    column = np.asarray(column, dtype=float)
+    return float(_columns_mutual_information(column[:, None], reference, bins)[0])
+
+
+def _columns_mutual_information(values: np.ndarray, reference: SimilarityMatrix,
+                                bins: int) -> np.ndarray:
+    """`column_mutual_information` of every column of `values`, binning the reference once."""
+    n, k = values.shape
     if n < 3:
         raise ValueError(f"need at least 3 points to estimate column information, got {n}")
     if reference.size != n:
@@ -140,18 +146,18 @@ def column_mutual_information(column: np.ndarray, reference: SimilarityMatrix,
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
     iu = np.triu_indices(n, 1)
-    pair_dist = np.abs(col[iu[0]] - col[iu[1]])
-    sims = reference.values
-    x = _equal_frequency_codes(pair_dist, bins)
-    y = _equal_frequency_codes(sims, bins)
-    joint = np.zeros((bins, bins))
-    np.add.at(joint, (x, y), 1.0)
-    joint /= joint.sum()
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    nz = joint > 0
-    mi = float(np.sum(joint[nz] * np.log2(joint[nz] / np.outer(px, py)[nz])))
-    return max(mi, 0.0)
+    y = _equal_frequency_codes(reference.values, bins)
+    mi = np.empty(k)
+    for j in range(k):
+        col = values[:, j]
+        x = _equal_frequency_codes(np.abs(col[iu[0]] - col[iu[1]]), bins)
+        counts = np.bincount(x * bins + y, minlength=bins * bins)
+        joint = counts.reshape(bins, bins) / counts.sum()
+        px = joint.sum(axis=1)
+        py = joint.sum(axis=0)
+        nz = joint > 0
+        mi[j] = max(float(np.sum(joint[nz] * np.log2(joint[nz] / np.outer(px, py)[nz]))), 0.0)
+    return mi
 
 
 def _equal_frequency_codes(x: np.ndarray, bins: int) -> np.ndarray:
@@ -175,8 +181,7 @@ def topclass_labels(soft: LabelSet, k_hat: int, reference: SimilarityMatrix,
         raise ValueError(f"k_hat must lie in [1, {k}], got {k_hat}")
     if reference.size != n:
         raise ValueError(f"reference covers {reference.size} points, labels have {n}")
-    mi = np.array([column_mutual_information(soft.values[:, j], reference, bins)
-                   for j in range(k)])
+    mi = _columns_mutual_information(soft.values, reference, bins)
     order = np.argsort(-mi, kind="stable")
     retained = tuple(sorted(int(j) for j in order[:k_hat]))
     values = np.zeros_like(soft.values)

@@ -107,15 +107,8 @@ def triplet_disagreement_rate(a, b, sample_size: int | None = None,
 
 def _all_queries(m: int):
     """All 3*C(m,3) unique queries as (anchor, y, z) with y < z, y,z != anchor."""
-    pair_i, pair_j = np.triu_indices(m - 1, 1)
-    anchors = np.repeat(np.arange(m), pair_i.size)
-    rest = np.empty((m, m - 1), dtype=np.intp)
-    for a in range(m):
-        rest[a, :a] = np.arange(a)
-        rest[a, a:] = np.arange(a + 1, m)
-    ys = rest[anchors, np.tile(pair_i, m)]
-    zs = rest[anchors, np.tile(pair_j, m)]
-    return anchors, ys, zs
+    a, y, z = np.ogrid[:m, :m, :m]
+    return np.nonzero((y < z) & (y != a) & (z != a))
 
 
 def _sample_queries(m: int, sample_size: int, seed: int):

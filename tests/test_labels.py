@@ -229,6 +229,39 @@ def test_mutual_information_rejects_bad_bins_and_size():
         column_mutual_information(np.zeros(9), sim)
 
 
+def _reference_column_mutual_information(column, reference, bins=8):
+    """The estimator as first written: both marginals binned per call, `np.add.at` histogram."""
+    n = column.shape[0]
+    iu = np.triu_indices(n, 1)
+    pair_dist = np.abs(column[iu[0]] - column[iu[1]])
+    codes = []
+    for sample in (pair_dist, reference.values):
+        edges = np.quantile(sample, np.linspace(0.0, 1.0, bins + 1)[1:-1])
+        codes.append(np.searchsorted(edges, sample, side="right"))
+    joint = np.zeros((bins, bins))
+    np.add.at(joint, tuple(codes), 1.0)
+    joint /= joint.sum()
+    px = joint.sum(axis=1)
+    py = joint.sum(axis=0)
+    nz = joint > 0
+    return max(float(np.sum(joint[nz] * np.log2(joint[nz] / np.outer(px, py)[nz]))), 0.0)
+
+
+def test_mutual_information_matches_reference_bit_for_bit():
+    for n, k, seed in [(3, 2, 0), (6, 5, 1), (20, 7, 2), (40, 4, 3)]:
+        ds = generate_dataset(n=n, k=k, d=4, seed=seed)
+        soft = soft_labels(ds)
+        sim = similarity_matrix(ds.points)
+        for bins in (2, 8):
+            expected = [_reference_column_mutual_information(soft.values[:, j], sim, bins)
+                        for j in range(k)]
+            assert [column_mutual_information(soft.values[:, j], sim, bins)
+                    for j in range(k)] == expected
+            order = np.argsort(-np.array(expected), kind="stable")
+            kept = topclass_labels(soft, min(2, k), sim, bins).retained_columns
+            assert kept == tuple(sorted(int(j) for j in order[:min(2, k)]))
+
+
 def test_topclass_identity_at_full_width():
     ds = generate_dataset(n=10, k=4, d=3, seed=2)
     soft = soft_labels(ds)

@@ -323,6 +323,22 @@ def test_cli_usage_errors(tmp_path):
     assert main(["tradeoff", "--config", tr_cfg, "--out", str(tmp_path)]) == 2
 
 
+def test_cli_sparsity_k_hat_grid_range(tmp_path, capsys):
+    outside = _write_config(tmp_path, "outside.json", {
+        "n": 4, "k": 3, "d": 5, "k_hat_grid": [2, 5], "reps": 1})
+    out = tmp_path / "outside"
+    assert main(["sparsity", "--config", outside, "--out", str(out)]) == 2
+    assert "k_hat_grid value 5" in capsys.readouterr().err
+    assert not (out / "sparsity.csv").exists()
+    # the built-in grid (1, 2, 3, 5, 10) is clipped to k
+    default = _write_config(tmp_path, "default.json", {
+        "n": 4, "k": 3, "d": 3, "reps": 1, "solver": {"max_iterations": 50}})
+    out = tmp_path / "default"
+    assert main(["sparsity", "--config", default, "--out", str(out)]) == 0
+    rows = rows_from_csv((out / "sparsity.csv").read_text())
+    assert {r["k_hat"] for r in rows if r["kind"] == "sparse"} == {"1", "2", "3"}
+
+
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     with pytest.raises(ValueError, match="k_grd"):
         SweepSpec.from_dict({"k_grd": [3]})

@@ -6,13 +6,187 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelinfo.labels import (LabelKind, LabelSet, hard_labels, pca_encode,
-                              soft_labels, sparsify_labels)
-from labelinfo.latentgen import generate_dataset
+                              smooth_labels, soft_labels, sparsify_labels,
+                              topclass_labels, typicality_labels)
+from labelinfo.latentgen import generate_dataset, similarity_matrix
 from labelinfo.triplets import (ConstraintSet, apply_noise, constraints_from_csv,
                                 constraints_to_csv, count_hard, count_soft,
                                 geometric_consistency_rate, information_ratio,
                                 mine_from_coordinates, mine_from_hard,
                                 mine_from_soft)
+
+_EMPTY = np.empty((0, 3), dtype=np.int64)
+
+
+def _reference_sorted(triplets):
+    if triplets.shape[0] == 0:
+        return _EMPTY
+    order = np.lexsort((triplets[:, 2], triplets[:, 1], triplets[:, 0]))
+    return np.ascontiguousarray(triplets[order])
+
+
+def _reference_mine_hard(values):
+    """The hard miner as first written: one block per class, then the point anchors."""
+    n, k = values.shape
+    classes = np.argmax(values, axis=1)
+    chunks = []
+    for i in range(k):
+        pos = np.flatnonzero(classes == i)
+        neg = np.flatnonzero(classes != i)
+        if pos.size and neg.size:
+            pp, nn = np.meshgrid(pos, neg, indexing="ij")
+            block = np.empty((pp.size, 3), dtype=np.int64)
+            block[:, 0] = n + i
+            block[:, 1] = pp.ravel()
+            block[:, 2] = nn.ravel()
+            chunks.append(block)
+    others = np.array([[j for j in range(k) if j != c] for c in classes], dtype=np.int64)
+    if k > 1:
+        block = np.empty((n * (k - 1), 3), dtype=np.int64)
+        block[:, 0] = np.repeat(np.arange(n), k - 1)
+        block[:, 1] = n + np.repeat(classes, k - 1)
+        block[:, 2] = n + others.ravel()
+        chunks.append(block)
+    return _reference_sorted(np.concatenate(chunks) if chunks else _EMPTY)
+
+
+def _reference_mine_soft(values):
+    """The soft miner as first written: one loop over columns, one over rows."""
+    n, k = values.shape
+    chunks = []
+    pi, pj = np.triu_indices(n, 1)
+    for i in range(k):
+        col = values[:, i]
+        diff = col[pi] - col[pj]
+        gt = diff > 0
+        lt = diff < 0
+        block = np.empty((int(gt.sum()) + int(lt.sum()), 3), dtype=np.int64)
+        block[:, 0] = n + i
+        block[: gt.sum(), 1] = pi[gt]
+        block[: gt.sum(), 2] = pj[gt]
+        block[gt.sum():, 1] = pj[lt]
+        block[gt.sum():, 2] = pi[lt]
+        if block.shape[0]:
+            chunks.append(block)
+    ci, cj = np.triu_indices(k, 1)
+    for x in range(n):
+        row = values[x]
+        diff = row[ci] - row[cj]
+        gt = diff > 0
+        lt = diff < 0
+        block = np.empty((int(gt.sum()) + int(lt.sum()), 3), dtype=np.int64)
+        block[:, 0] = x
+        block[: gt.sum(), 1] = n + ci[gt]
+        block[: gt.sum(), 2] = n + cj[gt]
+        block[gt.sum():, 1] = n + cj[lt]
+        block[gt.sum():, 2] = n + ci[lt]
+        if block.shape[0]:
+            chunks.append(block)
+    return _reference_sorted(np.concatenate(chunks) if chunks else _EMPTY)
+
+
+def _reference_mine_coordinates(coords):
+    """The coordinate miner as first written: one loop over anchors."""
+    m = coords.shape[0]
+    sq_norm = np.einsum("ij,ij->i", coords, coords)
+    sq = sq_norm[:, None] + sq_norm[None, :] - 2.0 * coords @ coords.T
+    np.fill_diagonal(sq, 0.0)
+    sq = np.maximum(sq, 0.0)
+    chunks = []
+    base_i, base_j = np.triu_indices(m - 1, 1)
+    others = np.arange(m)
+    for a in range(m):
+        rest = np.delete(others, a)
+        y = rest[base_i]
+        z = rest[base_j]
+        day = sq[a, y]
+        daz = sq[a, z]
+        nearer_y = day < daz
+        nearer_z = daz < day
+        total = int(nearer_y.sum()) + int(nearer_z.sum())
+        block = np.empty((total, 3), dtype=np.int64)
+        block[:, 0] = a
+        block[: nearer_y.sum(), 1] = y[nearer_y]
+        block[: nearer_y.sum(), 2] = z[nearer_y]
+        block[nearer_y.sum():, 1] = z[nearer_z]
+        block[nearer_y.sum():, 2] = y[nearer_z]
+        if total:
+            chunks.append(block)
+    return _reference_sorted(np.concatenate(chunks) if chunks else _EMPTY)
+
+
+def _reference_noise(triplets, epsilon, seed):
+    triplets = triplets.copy()
+    flips = np.random.default_rng(seed).random(triplets.shape[0]) < epsilon
+    triplets[flips, 1], triplets[flips, 2] = (triplets[flips, 2].copy(),
+                                              triplets[flips, 1].copy())
+    return triplets
+
+
+def _oracle_cases():
+    """(name, labels, n_points) covering every label kind and the edge shapes."""
+    cases = []
+    for n, k in [(1, 2), (1, 5), (2, 2), (3, 4), (9, 3), (12, 7)]:
+        ds = generate_dataset(n=n, k=k, d=3, seed=10 * n + k)
+        hard, soft = hard_labels(ds), soft_labels(ds)
+        cases += [(f"hard-{n}-{k}", hard, n), (f"soft-{n}-{k}", soft, n),
+                  (f"smoothed-{n}-{k}", smooth_labels(hard, 0.2), n),
+                  (f"typicality-{n}-{k}",
+                   typicality_labels(hard, np.linspace(0.5, 1.0, n)), n),
+                  (f"sparse-{n}-{k}", sparsify_labels(soft, 1), n),
+                  (f"pca-{n}-{k}", pca_encode(ds, 2), n)]
+        if n >= 3:
+            cases.append((f"topclass-{n}-{k}",
+                          topclass_labels(soft, min(2, k - 1), similarity_matrix(ds.points)), n))
+    ones = np.ones((4, 1))
+    cases += [("hard-k1", LabelSet(LabelKind.HARD, ones), 4),
+              ("soft-k1", LabelSet(LabelKind.SOFT, ones), 4),
+              ("sparse-uniform", LabelSet(LabelKind.SPARSE_SOFT, np.full((3, 3), 1 / 3)), 3),
+              ("pca-m3", LabelSet(LabelKind.PCA_COORDS, np.array([[-1.0], [0.0], [1.0]])), 2)]
+    grid = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
+    coords = pca_encode(generate_dataset(n=6, k=3, d=4, seed=3), 3).values
+    coords[4] = coords[1]
+    cases += [("pca-integer-grid", LabelSet(LabelKind.PCA_COORDS, grid), 3),
+              ("pca-duplicated", LabelSet(LabelKind.PCA_COORDS, coords), 6),
+              ("pca-all-equal", LabelSet(LabelKind.PCA_COORDS, np.zeros((4, 2))), 2)]
+    return cases
+
+
+_ORACLE_CASES = _oracle_cases()
+
+
+def _mine(labels, n_points):
+    if labels.kind is LabelKind.HARD:
+        return mine_from_hard(labels), _reference_mine_hard(labels.values)
+    if labels.kind is LabelKind.PCA_COORDS:
+        return (mine_from_coordinates(labels, n_points),
+                _reference_mine_coordinates(labels.values))
+    return mine_from_soft(labels), _reference_mine_soft(labels.values)
+
+
+@pytest.mark.parametrize("labels,n_points", [c[1:] for c in _ORACLE_CASES],
+                         ids=[c[0] for c in _ORACLE_CASES])
+def test_miners_match_reference_loops_bit_for_bit(labels, n_points):
+    got, expected = _mine(labels, n_points)
+    t = got.triplets
+    assert t.dtype == np.int64 and t.flags.c_contiguous and t.shape == expected.shape
+    assert np.array_equal(t, expected)
+    for epsilon in (0.0, 0.05, 0.5, 1.0):
+        for seed in (0, 11):
+            noisy = apply_noise(got, epsilon, seed).triplets
+            assert noisy.dtype == np.int64 and noisy.flags.c_contiguous
+            assert np.array_equal(noisy, _reference_noise(expected, epsilon, seed))
+
+
+def test_oracle_cases_include_empty_sets_and_skipped_ties():
+    sizes = {name: _mine(labels, n_points)[0].triplets.shape
+             for name, labels, n_points in _ORACLE_CASES}
+    for name in ("hard-k1", "soft-k1", "sparse-uniform", "pca-all-equal"):
+        assert sizes[name] == (0, 3)
+    assert sizes["pca-m3"] == (2, 3)  # the middle item is equidistant from the ends
+    assert 0 < sizes["pca-integer-grid"][0] < 3 * 10  # 3 * C(5, 3) queries, some tied
+    assert 0 < sizes["pca-duplicated"][0] < 3 * 84  # 3 * C(9, 3) queries, some tied
+    assert 0 < sizes["topclass-12-7"][0] < sizes["soft-12-7"][0]  # zeroed columns tie
 
 
 def test_hard_mining_two_points_two_classes():
