@@ -47,14 +47,11 @@ def _outdir(args) -> Path:
 
 
 def _write_manifest(outdir: Path, command: str, spec_dict: dict,
-                    workers: int, wall_time: float) -> None:
-    manifest = {
-        "command": command,
-        "tool_version": __version__,
-        "spec": spec_dict,
-        "workers": workers,
-        "wall_time_seconds": wall_time,
-    }
+                    wall_time: float, workers: int | None = None) -> None:
+    manifest = {"command": command, "tool_version": __version__, "spec": spec_dict}
+    if workers is not None:
+        manifest["workers"] = workers
+    manifest["wall_time_seconds"] = wall_time
     (outdir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -66,6 +63,18 @@ def _sweep_spec(args) -> sweep.SweepSpec:
         return spec
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad sweep config: {exc}") from exc
+
+
+def _report_failures(command: str, rows) -> int:
+    """Exit code for a finished sweep; names the first failed cell on stderr."""
+    failed = [row for row in rows if row["status"] != "ok"]
+    if not failed:
+        return 0
+    first = ", ".join(f"{c}={failed[0][c]}" for c in
+                      ("n", "k", "d", "kind", "k_hat", "epsilon", "seed", "status"))
+    print(f"{command}: {len(failed)}/{len(rows)} cells failed; first: {first}",
+          file=sys.stderr)
+    return 1
 
 
 def cmd_simulate(args) -> int:
@@ -81,13 +90,9 @@ def cmd_simulate(args) -> int:
         (outdir / "heatmap_rho_kind.csv").write_text(pivot_csv)
     except ValueError:
         pass  # every cell failed; sweep.csv still carries the statuses
-    _write_manifest(outdir, "simulate", spec.to_dict(), args.workers,
-                    time.perf_counter() - start)
-    failures = sum(row["status"] != "ok" for row in rows)
-    if failures:
-        print(f"simulate: {failures}/{len(rows)} cells failed", file=sys.stderr)
-        return 1
-    return 0
+    _write_manifest(outdir, "simulate", spec.to_dict(),
+                    time.perf_counter() - start, args.workers)
+    return _report_failures("simulate", rows)
 
 
 def cmd_analyze(args) -> int:
@@ -119,7 +124,7 @@ def cmd_analyze(args) -> int:
     (outdir / "heatmap_information_ratio_kind.csv").write_text(pivot_csv)
     _write_manifest(outdir, "analyze",
                     {"n_grid": list(n_grid), "k_grid": list(k_grid)},
-                    args.workers, time.perf_counter() - start)
+                    time.perf_counter() - start)
     return 0
 
 
@@ -153,8 +158,7 @@ def cmd_embed(args) -> int:
     (outdir / "gram.csv").write_text(gram_to_csv(gram))
     (outdir / "diagnostics.json").write_text(
         json.dumps(gram.diagnostics, indent=2) + "\n")
-    _write_manifest(outdir, "embed", config, args.workers,
-                    time.perf_counter() - start)
+    _write_manifest(outdir, "embed", config, time.perf_counter() - start)
     return 0
 
 
@@ -236,7 +240,7 @@ def cmd_tradeoff(args) -> int:
     (outdir / "tradeoff.svg").write_text(
         render.render_curve_panels(panels, xlabel="k_hat", ylabel="loss"))
     _write_manifest(outdir, "tradeoff", {**config, "beta_grid": beta_grid},
-                    args.workers, time.perf_counter() - start)
+                    time.perf_counter() - start)
     return 0
 
 
@@ -297,13 +301,9 @@ def cmd_sparsity(args) -> int:
         panel = {"title": f"n={n} k={k} d={d}", "series": series, "hlines": hlines}
         (outdir / "sparsity.svg").write_text(
             render.render_curve_panels([panel], xlabel="k_hat", ylabel="rho"))
-    _write_manifest(outdir, "sparsity", spec.to_dict(), args.workers,
-                    time.perf_counter() - start)
-    failures = len(rows) - len(ok_rows)
-    if failures:
-        print(f"sparsity: {failures}/{len(rows)} cells failed", file=sys.stderr)
-        return 1
-    return 0
+    _write_manifest(outdir, "sparsity", spec.to_dict(),
+                    time.perf_counter() - start, args.workers)
+    return _report_failures("sparsity", rows)
 
 
 def cmd_defaults(args) -> int:
@@ -333,9 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config base seed")
+        if name in ("simulate", "sparsity"):
+            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config base seed")
         p.set_defaults(func=func)
     return parser
 

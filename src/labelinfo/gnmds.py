@@ -29,6 +29,7 @@ and the next iteration's active set.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +84,18 @@ def project_psd(matrix: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix contains non-finite entries")
     sym = 0.5 * (matrix + matrix.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    if eigvals[0] >= 0.0:
-        return sym
-    clipped = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
+    try:
+        eigvals, eigvecs = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError:
+        # For symmetric S the projection is (S + |S|) / 2, and the SVD
+        # S = U diag(s) Vt gives |S| = Vt.T diag(s) Vt through another
+        # LAPACK driver, which converges where eigh's did not.
+        _, singular, vt = np.linalg.svd(sym)
+        clipped = 0.5 * (sym + (vt.T * singular) @ vt)
+    else:
+        if eigvals[0] >= 0.0:
+            return sym
+        clipped = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
     return 0.5 * (clipped + clipped.T)
 
 
@@ -105,8 +114,25 @@ def _hinge_subgradient(flat_near: np.ndarray, flat_far: np.ndarray, m: int) -> n
     return weights + weights.T - np.diag(weights.sum(axis=0))
 
 
-def solve(constraints: ConstraintSet, config: SolverConfig = SolverConfig()) -> GramMatrix:
-    """Fit a Gram matrix to the constraint set by projected subgradient descent."""
+def solve(constraints: ConstraintSet, config: SolverConfig = SolverConfig(),
+          table: dict | None = None) -> GramMatrix:
+    """Fit a Gram matrix to the constraint set by projected subgradient descent.
+
+    With a `table`, a set already solved under the same config is looked up
+    by its content rather than solved again; every call returns its own copy.
+    """
+    if table is None:
+        return _solve(constraints, config)
+    key = (constraints.m, config,
+           hashlib.blake2b(constraints.triplets.tobytes()).digest())
+    if key not in table:
+        table[key] = _solve(constraints, config)
+    stored = table[key]
+    return GramMatrix(size=stored.size, entries=stored.entries.copy(),
+                      diagnostics=dict(stored.diagnostics))
+
+
+def _solve(constraints: ConstraintSet, config: SolverConfig) -> GramMatrix:
     triplets = constraints.triplets
     n_constraints = triplets.shape[0]
     if n_constraints == 0:

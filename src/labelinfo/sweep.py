@@ -213,11 +213,13 @@ def _effective_k_hat(signal: SignalSpec, dataset: LatentDataset) -> int | None:
     return signal.k_hat
 
 
-def evaluate_cell(spec: SweepSpec, cell) -> tuple[dict, float]:
-    """Run one (n, k, d, signal, epsilon, rep) cell; never raises.
+def evaluate_cell(spec: SweepSpec, cell, table: dict | None = None) -> tuple[dict, float]:
+    """Run one (n, k, d, signal, epsilon, rep) cell.
 
-    Returns the result row and the cell wall time. Failures are recorded in
-    the row's status field so a sweep survives individual bad cells.
+    Returns the result row and the cell wall time. A domain error (a bad
+    value, an index out of range, a failed decomposition) is recorded in the
+    row's status field so a sweep survives individual bad cells; any other
+    exception is a bug and propagates. `table` is passed on to `solve`.
     """
     n, k, d, signal, eps, rep = cell
     ds_seed = derive_seed(spec.base_seed, n=n, k=k, d=d, rep=rep)
@@ -239,7 +241,7 @@ def evaluate_cell(spec: SweepSpec, cell) -> tuple[dict, float]:
                                      kind=signal.kind.value,
                                      k_hat=k_hat_eff, epsilon=eps, stage="noise")
             constraints = triplets.apply_noise(constraints, eps, noise_seed)
-        gram = solve(constraints, spec.solver)
+        gram = solve(constraints, spec.solver, table)
         truth = similarity_matrix(dataset.all_items())
         rho = recovery_score(gram, truth)
         c_hat = costbenefit.cost(signal.kind, n, k, k_hat_eff)
@@ -258,10 +260,20 @@ def evaluate_cell(spec: SweepSpec, cell) -> tuple[dict, float]:
             "stop_reason": gram.diagnostics["stop_reason"],
             "final_objective": gram.diagnostics["final_objective"],
         })
-    except Exception as exc:  # cell failures are data, not crashes
+    except (ValueError, IndexError, np.linalg.LinAlgError) as exc:
         message = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
         row["status"] = f"error: {message}"
     return row, time.perf_counter() - start
+
+
+# A pool worker's solve table; `_init_worker` sets it, so it lives as long
+# as the worker's pool, and the parent process never has one.
+_worker_table: dict | None = None
+
+
+def _init_worker():
+    global _worker_table
+    _worker_table = {}
 
 
 def _worker(args):
@@ -269,7 +281,7 @@ def _worker(args):
     spec = SweepSpec.from_dict(spec_dict)
     n, k, d, signal_dict, eps, rep = cell_key
     cell = (n, k, d, SignalSpec.from_dict(signal_dict), eps, rep)
-    return evaluate_cell(spec, cell)
+    return evaluate_cell(spec, cell, _worker_table)
 
 
 @contextmanager
@@ -291,15 +303,22 @@ def _single_threaded_blas():
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1):
-    """All cells in deterministic order. Returns (rows, wall_times)."""
+    """All cells in deterministic order. Returns (rows, wall_times).
+
+    Each distinct constraint set is solved once per call (per pool worker
+    when `workers` > 1); a later cell that mines the same set reuses that
+    Gram matrix and scores it against its own dataset.
+    """
     cells = list(spec.cells())
     if workers <= 1:
-        results = [evaluate_cell(spec, cell) for cell in cells]
+        table: dict = {}
+        results = [evaluate_cell(spec, cell, table) for cell in cells]
     else:
         spec_dict = spec.to_dict()
         jobs = [(spec_dict, (n, k, d, s.to_dict(), eps, rep))
                 for (n, k, d, s, eps, rep) in cells]
-        with _single_threaded_blas(), get_context("spawn").Pool(processes=workers) as pool:
+        with _single_threaded_blas(), get_context("spawn").Pool(
+                processes=workers, initializer=_init_worker) as pool:
             results = pool.map(_worker, jobs)  # map preserves submission order
     rows = [row for row, _ in results]
     times = [t for _, t in results]

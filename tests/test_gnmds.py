@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labelinfo import gnmds
 from labelinfo.gnmds import (_GROW, _MIN_STEP, _WINDOW, GramMatrix, SolverConfig,
                              _double_center, _hinge_subgradient, extract_embedding,
                              gram_from_csv, gram_to_csv, project_psd, solve)
@@ -185,6 +186,25 @@ def test_project_psd_symmetrizes():
     assert np.allclose(proj, proj.T)
 
 
+def test_project_psd_svd_fallback_matches_eigh(monkeypatch):
+    rng = np.random.default_rng(17)
+    matrices = []
+    for size in (1, 2, 5, 12, 40):
+        a = rng.standard_normal((size, size))
+        matrices += [a, a + a.T, a @ a.T, -(a @ a.T)]  # nonsymmetric, indefinite, PSD, NSD
+    expected = [project_psd(a) for a in matrices]
+
+    def eigh_fails(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_fails)
+    for a, want in zip(matrices, expected):
+        got = project_psd(a)
+        assert np.array_equal(got, got.T)
+        scale = max(1.0, np.abs(want).max())
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12 * scale * len(a))
+
+
 def test_project_psd_rejects_nonfinite():
     with pytest.raises(ValueError):
         project_psd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -200,6 +220,34 @@ def test_solve_out_of_range_index_raises():
     bad = ConstraintSet(1, 1, np.array([[0, 1, 2]], dtype=np.int64), "hard")
     with pytest.raises(IndexError):
         solve(bad, SolverConfig())
+
+
+def test_solve_table_reuses_a_set_by_content_and_returns_copies(monkeypatch):
+    sets = _oracle_sets()
+    config = SolverConfig()
+    expected = solve(sets["soft"], config)
+    inner_calls = []
+    inner_solve = gnmds._solve
+    monkeypatch.setattr(gnmds, "_solve",
+                        lambda c, cfg: inner_calls.append(cfg) or inner_solve(c, cfg))
+    table = {}
+    first = solve(sets["soft"], config, table)
+    assert np.array_equal(first.entries, expected.entries)
+    assert first.diagnostics == expected.diagnostics
+    first.entries[:] = 99.0
+    first.diagnostics["iterations"] = -1
+    same_content = ConstraintSet(7, 4, sets["soft"].triplets.copy(), "soft")
+    for _ in range(2):
+        hit = solve(same_content, config, table)
+        assert np.array_equal(hit.entries, expected.entries)
+        assert hit.diagnostics == expected.diagnostics
+        hit.entries[0, 0] = -5.0
+    assert len(inner_calls) == 1
+    # a new config, a new item count or new triplets is a new entry
+    solve(sets["soft"], SolverConfig(lam=0.2), table)
+    solve(ConstraintSet(7, 5, sets["soft"].triplets, "soft"), config, table)
+    solve(sets["hard"], config, table)
+    assert len(inner_calls) == len(table) == 4
 
 
 def test_solve_toy_satisfies_constraints():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import labelinfo
+from labelinfo import gnmds, sweep
 from labelinfo.cli import main
 from labelinfo.gnmds import gram_from_csv, solve
 from labelinfo.labels import LabelKind, soft_labels
@@ -15,9 +16,9 @@ from labelinfo.latentgen import generate_dataset, similarity_matrix
 from labelinfo.metrics import effective_dimensionality, recovery_score
 from labelinfo.render import pivot_rows, pivot_to_csv, render_curve_panels, render_heatmap
 from labelinfo.sweep import (SWEEP_COLUMNS, SignalSpec, SweepSpec, _single_threaded_blas,
-                             derive_seed, effective_dim_for_dataset, evaluate_cell,
-                             rows_from_csv, rows_to_csv, run_sweep,
-                             timings_to_csv)
+                             build_labels, derive_seed, effective_dim_for_dataset,
+                             evaluate_cell, mine_constraints, rows_from_csv, rows_to_csv,
+                             run_sweep, timings_to_csv)
 from labelinfo.triplets import constraints_to_csv, mine_from_soft
 
 TINY = SweepSpec(n_grid=(3,), k_grid=(4,), d_grid=(3,),
@@ -102,6 +103,88 @@ def test_run_sweep_serial_matches_parallel():
     rows1, _ = run_sweep(TINY, workers=1)
     rows2, _ = run_sweep(TINY, workers=2)
     assert rows_to_csv(rows1) == rows_to_csv(rows2)
+
+
+# At d = 3 and d = 5, PCA k_hat = 10 mines the same set as k_hat = 5, and the
+# hard set depends only on class membership, so it repeats across d and reps:
+# 12 cells, 5 distinct constraint sets.
+REPEATS = SweepSpec(n_grid=(3,), k_grid=(4,), d_grid=(3, 5),
+                    signals=(SignalSpec(LabelKind.HARD),
+                             SignalSpec(LabelKind.PCA_COORDS, k_hat=5),
+                             SignalSpec(LabelKind.PCA_COORDS, k_hat=10)),
+                    reps=2, base_seed=5)
+
+
+def _distinct_sets(spec):
+    keys = set()
+    for n, k, d, signal, _, rep in spec.cells():
+        dataset = generate_dataset(n=n, k=k, d=d, sigma=spec.sigma,
+                                   seed=derive_seed(spec.base_seed, n=n, k=k, d=d, rep=rep))
+        constraints = mine_constraints(build_labels(dataset, signal), dataset.n)
+        keys.add((constraints.m, constraints.triplets.tobytes()))
+    return len(keys)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_sweep_rows_equal_cells_solved_alone(workers):
+    alone = [evaluate_cell(REPEATS, cell)[0] for cell in REPEATS.cells()]
+    rows, _ = run_sweep(REPEATS, workers=workers)
+    assert rows_to_csv(rows) == rows_to_csv(alone)
+    assert all(row["status"] == "ok" for row in rows)
+
+
+def test_run_sweep_solves_each_distinct_set_once_per_call(monkeypatch):
+    distinct = _distinct_sets(REPEATS)
+    cells = len(list(REPEATS.cells()))
+    assert distinct == 5 and cells == 12
+    outer, inner = [], []
+    monkeypatch.setattr(sweep, "solve",
+                        lambda *args: outer.append(1) or gnmds.solve(*args))
+    inner_solve = gnmds._solve
+    monkeypatch.setattr(gnmds, "_solve",
+                        lambda *args: inner.append(1) or inner_solve(*args))
+    first, _ = run_sweep(REPEATS)
+    assert (len(outer), len(inner)) == (cells, distinct)
+    second, _ = run_sweep(REPEATS)  # a second call starts from an empty table
+    assert (len(outer), len(inner)) == (2 * cells, 2 * distinct)
+    assert rows_to_csv(first) == rows_to_csv(second)
+
+
+def test_evaluate_cell_records_domain_errors_and_raises_bugs(monkeypatch):
+    def fails_with(exc_type):
+        def solve(*_):
+            raise exc_type("boom")
+        return solve
+
+    monkeypatch.setattr(sweep, "solve", fails_with(ValueError))
+    rows, _ = run_sweep(TINY)
+    assert {row["status"] for row in rows} == {"error: ValueError: boom"}
+    monkeypatch.setattr(sweep, "solve", fails_with(TypeError))
+    with pytest.raises(TypeError, match="boom"):
+        run_sweep(TINY)
+
+
+def test_eigh_failure_falls_back_to_svd(monkeypatch):
+    # On this cell eigh fails to converge on one iteration; the SVD form of
+    # the projection lets the solve finish.
+    spec = SweepSpec(n_grid=(20,), k_grid=(20,), d_grid=(5,),
+                     signals=(SignalSpec(LabelKind.TOP_CLASS, k_hat=5),),
+                     reps=1, sigma=0.5, base_seed=506_000_023)
+    eigh_failures = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(matrix):
+        try:
+            return eigh(matrix)
+        except np.linalg.LinAlgError:
+            eigh_failures.append(1)
+            raise
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    (row,), _ = run_sweep(spec)
+    assert row["status"] == "ok"
+    assert (row["iterations"], row["stop_reason"]) == (166, "tolerance")
+    assert len(eigh_failures) == 1
 
 
 def test_single_threaded_blas_sets_only_unset_variables_and_restores(monkeypatch):
@@ -223,6 +306,7 @@ def test_cli_simulate_and_determinism(tmp_path):
     assert (out1 / "heatmap_rho_kind.svg").exists()
     manifest = json.loads((out1 / "run_manifest.json").read_text())
     assert manifest["command"] == "simulate"
+    assert manifest["workers"] == 1
     assert manifest["spec"]["base_seed"] == 5
     assert manifest["wall_time_seconds"] > 0
     # seed override changes the data
@@ -259,6 +343,7 @@ def test_cli_analyze(tmp_path):
     assert lines[0] == "n,k,kind,information_ratio"
     assert len(lines) == 5  # 2 cells x 2 kinds
     assert (out / "heatmap_information_ratio_kind.svg").exists()
+    assert "workers" not in json.loads((out / "run_manifest.json").read_text())
 
 
 def test_cli_embed(tmp_path):
@@ -337,6 +422,40 @@ def test_cli_sparsity_k_hat_grid_range(tmp_path, capsys):
     assert main(["sparsity", "--config", default, "--out", str(out)]) == 0
     rows = rows_from_csv((out / "sparsity.csv").read_text())
     assert {r["k_hat"] for r in rows if r["kind"] == "sparse"} == {"1", "2", "3"}
+
+
+def test_cli_failure_line_names_the_first_failed_cell(tmp_path, monkeypatch, capsys):
+    def topclass_fails(dataset, signal):
+        if signal.kind is LabelKind.TOP_CLASS:
+            raise ValueError("boom")
+        return build_labels(dataset, signal)
+
+    monkeypatch.setattr(sweep, "build_labels", topclass_fails)
+    cfg = _write_config(tmp_path, "sp.json", {
+        "n": 3, "k": 3, "d": 3, "k_hat_grid": [1, 2], "reps": 1,
+        "solver": {"max_iterations": 50}})
+    assert main(["sparsity", "--config", cfg, "--out", str(tmp_path / "sp")]) == 1
+    seed = derive_seed(0, n=3, k=3, d=3, rep=0)
+    assert capsys.readouterr().err == (
+        "sparsity: 2/8 cells failed; first: n=3, k=3, d=3, kind=topclass, k_hat=1, "
+        f"epsilon=0.0, seed={seed}, status=error: ValueError: boom\n")
+    cfg = _write_config(tmp_path, "sim.json", {
+        "n_grid": [3], "k_grid": [4], "d_grid": [3], "reps": 2, "base_seed": 5,
+        "signals": [{"kind": "hard"}, {"kind": "topclass", "k_hat": 2}]})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 1
+    seed = derive_seed(5, n=3, k=4, d=3, rep=0)
+    assert capsys.readouterr().err == (
+        "simulate: 2/4 cells failed; first: n=3, k=4, d=3, kind=topclass, k_hat=2, "
+        f"epsilon=0.0, seed={seed}, status=error: ValueError: boom\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "embed", "tradeoff", "defaults"])
+@pytest.mark.parametrize("flag", ["--workers", "--seed"])
+def test_cli_commands_without_a_sweep_reject_workers_and_seed(command, flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, flag, "2"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
