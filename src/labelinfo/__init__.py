@@ -8,14 +8,12 @@ from .latentgen import (LatentDataset, SimilarityMatrix, generate_dataset,
                         similarity_matrix)
 from .labels import (LabelKind, LabelSet, hard_labels, soft_labels,
                      smooth_labels, typicality_labels, sparsify_labels,
-                     topclass_labels, pca_encode, column_mutual_information)
+                     topclass_labels, pca_encode)
 from .triplets import (ConstraintSet, mine_from_hard, mine_from_soft,
                        mine_from_coordinates, count_hard, count_soft,
                        information_ratio, apply_noise)
 from .gnmds import GramMatrix, SolverConfig, solve, project_psd, extract_embedding
-from .metrics import (LabelStats, PcaCurve, spearman, recovery_score,
-                      triplet_disagreement_rate, label_stats,
-                      effective_dimensionality)
+from .metrics import PcaCurve, spearman, recovery_score, effective_dimensionality
 from .costbenefit import (SignalOption, TradeoffConfig, UtilityKind, cost,
                           utility, loss, indifference_beta, optimize_sparsity)
 from .sweep import SignalSpec, SweepSpec, run_sweep, derive_seed
@@ -24,12 +22,10 @@ __all__ = [
     "LatentDataset", "SimilarityMatrix", "generate_dataset", "similarity_matrix",
     "LabelKind", "LabelSet", "hard_labels", "soft_labels", "smooth_labels",
     "typicality_labels", "sparsify_labels", "topclass_labels", "pca_encode",
-    "column_mutual_information",
     "ConstraintSet", "mine_from_hard", "mine_from_soft", "mine_from_coordinates",
     "count_hard", "count_soft", "information_ratio", "apply_noise",
     "GramMatrix", "SolverConfig", "solve", "project_psd", "extract_embedding",
-    "LabelStats", "PcaCurve", "spearman", "recovery_score",
-    "triplet_disagreement_rate", "label_stats", "effective_dimensionality",
+    "PcaCurve", "spearman", "recovery_score", "effective_dimensionality",
     "SignalOption", "TradeoffConfig", "UtilityKind", "cost", "utility", "loss",
     "indifference_beta", "optimize_sparsity",
     "SignalSpec", "SweepSpec", "run_sweep", "derive_seed",

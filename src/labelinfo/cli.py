@@ -95,8 +95,16 @@ def cmd_simulate(args) -> int:
     return _report_failures("simulate", rows)
 
 
+def _check_keys(config: dict, known, what: str) -> None:
+    try:
+        sweep.reject_unknown_keys(config, known, what)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_analyze(args) -> int:
     config = _load_config(args.config)
+    _check_keys(config, ("n_grid", "k_grid"), "analyze config")
     try:
         n_grid = tuple(config.get("n_grid", sweep.SweepSpec().n_grid))
         k_grid = tuple(config.get("k_grid", sweep.SweepSpec().k_grid))
@@ -115,10 +123,8 @@ def cmd_analyze(args) -> int:
         raise UsageError(f"bad analyze config: {exc}") from exc
     outdir = _outdir(args)
     start = time.perf_counter()
-    lines = ["n,k,kind,information_ratio"]
-    lines.extend(f"{r['n']},{r['k']},{r['kind']},{repr(r['information_ratio'])}"
-                 for r in rows)
-    (outdir / "analysis.csv").write_text("\n".join(lines) + "\n")
+    (outdir / "analysis.csv").write_text(
+        sweep.rows_to_csv(rows, ("n", "k", "kind", "information_ratio")))
     svg, pivot_csv = render.render_heatmap(rows, "information_ratio", "kind")
     (outdir / "heatmap_information_ratio_kind.svg").write_text(svg)
     (outdir / "heatmap_information_ratio_kind.csv").write_text(pivot_csv)
@@ -130,6 +136,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_embed(args) -> int:
     config = _load_config(args.config)
+    _check_keys(config, ("constraints_csv", "solver", "embedding_rank"), "embed config")
     if "constraints_csv" not in config:
         raise UsageError("embed config needs a 'constraints_csv' path")
     try:
@@ -190,6 +197,8 @@ def _options_from_sweep_rows(rows, n: int, k: int, d: int):
 
 def cmd_tradeoff(args) -> int:
     config = _load_config(args.config)
+    _check_keys(config, ("sweep_csv", "n", "k", "d", "beta_grid", "utility_kind"),
+                "tradeoff config")
     for key in ("sweep_csv", "n", "k", "d"):
         if key not in config:
             raise UsageError(f"tradeoff config needs '{key}'")
@@ -249,8 +258,8 @@ _SPARSITY_KEYS = ("n", "k", "d", "k_hat_grid", "reps", "sigma", "base_seed", "so
 
 def cmd_sparsity(args) -> int:
     config = _load_config(args.config)
+    _check_keys(config, _SPARSITY_KEYS, "sparsity config")
     try:
-        sweep.reject_unknown_keys(config, _SPARSITY_KEYS, "sparsity config")
         n = int(config.get("n", 20))
         k = int(config.get("k", 20))
         d = int(config.get("d", 5))
@@ -331,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, (func, help_text) in handlers.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="JSON config path")
+        if name != "defaults":
+            p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
         if name in ("simulate", "sparsity"):
             p.add_argument("--workers", type=int, default=1)
@@ -353,3 +363,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

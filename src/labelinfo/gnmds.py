@@ -56,7 +56,6 @@ class SolverConfig:
     step_size: float | None = None  # None -> 1 / |constraints|
     max_iterations: int = 2000
     tolerance: float = 1e-4
-    seed: int = 0  # reserved for optional random restarts; base run is deterministic
 
     def __post_init__(self):
         if self.margin <= 0:
@@ -203,11 +202,3 @@ def gram_to_csv(gram: GramMatrix) -> str:
     lines = [",".join(repr(float(v)) for v in row) for row in gram.entries]
     return "\n".join(lines) + "\n"
 
-
-def gram_from_csv(text: str, diagnostics: dict | None = None) -> GramMatrix:
-    rows = [[float(v) for v in ln.split(",")] for ln in text.splitlines() if ln]
-    entries = np.array(rows, dtype=float)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError("gram CSV must be a dense square matrix")
-    return GramMatrix(size=entries.shape[0], entries=entries,
-                      diagnostics=dict(diagnostics or {}))

@@ -8,9 +8,7 @@ PCA coordinate encoding).
 """
 from __future__ import annotations
 
-import csv
 import enum
-import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,9 +27,6 @@ class LabelKind(enum.Enum):
     PCA_COORDS = "pca"
 
 
-# Kinds whose rows are probability vectors (sum to 1, entries >= 0).
-PROBABILITY_KINDS = frozenset(
-    {LabelKind.HARD, LabelKind.SOFT, LabelKind.SMOOTHED, LabelKind.TYPICALITY})
 # Kinds minable with the soft-label comparison rules.
 SOFT_MINEABLE_KINDS = frozenset(
     {LabelKind.SOFT, LabelKind.SMOOTHED, LabelKind.TYPICALITY,
@@ -99,11 +94,11 @@ def typicality_labels(hard: LabelSet, typicality: Sequence[float]) -> LabelSet:
     return LabelSet(kind=LabelKind.TYPICALITY, values=values)
 
 
-def sparsify_labels(soft: LabelSet, k_hat: int, renormalize: bool = False) -> LabelSet:
+def sparsify_labels(soft: LabelSet, k_hat: int) -> LabelSet:
     """Keep the k_hat largest components of each row, zero the rest.
 
-    Values are kept as-is (no renormalization) unless `renormalize` is set;
-    downstream triplet mining only uses within-row and within-column order.
+    Values are kept as-is, not renormalized: downstream triplet mining only
+    uses within-row and within-column order.
     Ties at the cutoff break toward the lowest class index.
     """
     if soft.kind not in (LabelKind.SOFT, LabelKind.SMOOTHED, LabelKind.TYPICALITY):
@@ -117,27 +112,19 @@ def sparsify_labels(soft: LabelSet, k_hat: int, renormalize: bool = False) -> La
     values = np.zeros_like(soft.values)
     rows = np.repeat(np.arange(n), k_hat)
     values[rows, keep.ravel()] = soft.values[rows, keep.ravel()]
-    if renormalize:
-        values = values / values.sum(axis=1, keepdims=True)
     return LabelSet(kind=LabelKind.SPARSE_SOFT, values=values, k_hat=k_hat)
-
-
-def column_mutual_information(column: np.ndarray, reference: SimilarityMatrix,
-                              bins: int = 8) -> float:
-    """Plug-in mutual information (bits) between a label column and similarity structure.
-
-    Forms the paired sample (|col_a - col_b|, sim_ab) over all point pairs,
-    discretizes each marginal into `bins` equal-frequency bins and returns
-    the mutual information of the joint histogram. Non-negative by
-    construction; exactly 0 for a constant column.
-    """
-    column = np.asarray(column, dtype=float)
-    return float(_columns_mutual_information(column[:, None], reference, bins)[0])
 
 
 def _columns_mutual_information(values: np.ndarray, reference: SimilarityMatrix,
                                 bins: int) -> np.ndarray:
-    """`column_mutual_information` of every column of `values`, binning the reference once."""
+    """Plug-in mutual information (bits) between each label column and similarity structure.
+
+    For each column, forms the paired sample (|col_a - col_b|, sim_ab) over
+    all point pairs, discretizes each marginal into `bins` equal-frequency
+    bins (the reference is binned once) and returns the mutual information
+    of the joint histogram. Non-negative by construction; exactly 0 for a
+    constant column.
+    """
     n, k = values.shape
     if n < 3:
         raise ValueError(f"need at least 3 points to estimate column information, got {n}")
@@ -190,28 +177,17 @@ def topclass_labels(soft: LabelSet, k_hat: int, reference: SimilarityMatrix,
                     retained_columns=retained)
 
 
-def pca_encode(dataset: LatentDataset, k_hat: int, on_soft_labels: bool = False) -> LabelSet:
+def pca_encode(dataset: LatentDataset, k_hat: int) -> LabelSet:
     """Coordinates of all n+k items in the top-k_hat principal-component basis.
 
-    By default PCA runs on the latent item coordinates (points then
-    centroids), treating the curve over k_hat as a bound on how well any
-    k_hat-vector encoding can communicate the geometry. With
-    `on_soft_labels`, PCA instead runs on the matrix of softmax rows
-    computed for every item (centroids included, via their own distances to
-    all centroids), so the encoded index space stays points+centroids.
+    PCA runs on the latent item coordinates (points then centroids), treating
+    the curve over k_hat as a bound on how well any k_hat-vector encoding can
+    communicate the geometry.
 
     Each component's sign is fixed by making its largest-magnitude loading
     positive, so repeated runs are deterministic.
     """
-    if on_soft_labels:
-        items = dataset.all_items()
-        dist = np.linalg.norm(items[:, None, :] - dataset.centroids[None, :, :], axis=2)
-        logits = -dist
-        logits -= logits.max(axis=1, keepdims=True)
-        expd = np.exp(logits)
-        matrix = expd / expd.sum(axis=1, keepdims=True)
-    else:
-        matrix = dataset.all_items()
+    matrix = dataset.all_items()
     m, width = matrix.shape
     if not 1 <= k_hat <= min(width, m):
         raise ValueError(f"k_hat must lie in [1, {min(width, m)}], got {k_hat}")
@@ -223,40 +199,3 @@ def pca_encode(dataset: LatentDataset, k_hat: int, on_soft_labels: bool = False)
         if vt[j, lead] < 0:
             scores[:, j] = -scores[:, j]
     return LabelSet(kind=LabelKind.PCA_COORDS, values=scores, k_hat=k_hat)
-
-
-def labelset_to_csv(labels: LabelSet) -> str:
-    """Header block (`kind,k_hat`, plus retained columns for top-class) then one row per item."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["kind", "k_hat"])
-    writer.writerow([labels.kind.value, "" if labels.k_hat is None else labels.k_hat])
-    if labels.retained_columns is not None:
-        writer.writerow(["retained_columns",
-                         ";".join(str(j) for j in labels.retained_columns)])
-    for row in labels.values:
-        writer.writerow([repr(float(v)) for v in row])
-    return buf.getvalue()
-
-
-def labelset_from_csv(text: str) -> LabelSet:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != ["kind", "k_hat"]:
-        raise ValueError("malformed label CSV header")
-    meta = next(reader)
-    kind = LabelKind(meta[0])
-    k_hat = int(meta[1]) if meta[1] != "" else None
-    retained = None
-    rows = []
-    for row in reader:
-        if not row:
-            continue
-        if row[0] == "retained_columns":
-            retained = tuple(int(j) for j in row[1].split(";"))
-            continue
-        rows.append([float(v) for v in row])
-    if not rows:
-        raise ValueError("label CSV contains no rows")
-    return LabelSet(kind=kind, values=np.array(rows), k_hat=k_hat,
-                    retained_columns=retained)

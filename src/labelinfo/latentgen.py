@@ -7,8 +7,6 @@ per class.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,44 +106,3 @@ def similarity_matrix(items: np.ndarray, normalized: bool = True) -> SimilarityM
     iu = np.triu_indices(m, 1)
     return SimilarityMatrix(size=m, values=gram[iu], normalized=normalized)
 
-
-def dataset_to_csv(dataset: LatentDataset) -> str:
-    """Serialize a dataset: one row per item, points first, then centroids."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["role", "class"] + [f"x{i}" for i in range(dataset.d)])
-    for i in range(dataset.n):
-        writer.writerow(["point", int(dataset.assignments[i])]
-                        + [repr(float(v)) for v in dataset.points[i]])
-    for j in range(dataset.k):
-        writer.writerow(["centroid", j] + [repr(float(v)) for v in dataset.centroids[j]])
-    return buf.getvalue()
-
-
-def dataset_from_csv(text: str) -> LatentDataset:
-    """Parse the CSV form. Generation metadata (seed) is not stored in the CSV."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if len(header) < 3 or header[:2] != ["role", "class"]:
-        raise ValueError("malformed dataset CSV header")
-    d = len(header) - 2
-    points, assignments, centroids = [], [], []
-    for row in reader:
-        if not row:
-            continue
-        role, cls, coords = row[0], int(row[1]), [float(v) for v in row[2:]]
-        if len(coords) != d:
-            raise ValueError("inconsistent dimensionality in dataset CSV")
-        if role == "point":
-            points.append(coords)
-            assignments.append(cls)
-        elif role == "centroid":
-            centroids.append(coords)
-        else:
-            raise ValueError(f"unknown role {role!r} in dataset CSV")
-    if not points or len(centroids) < 2:
-        raise ValueError("dataset CSV must contain points and at least two centroids")
-    return LatentDataset(points=np.array(points),
-                         centroids=np.array(centroids),
-                         assignments=np.array(assignments, dtype=np.int64),
-                         d=d, seed=0)

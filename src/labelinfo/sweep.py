@@ -12,7 +12,7 @@ import hashlib
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from multiprocessing import get_context
 
 import numpy as np
@@ -30,6 +30,7 @@ SWEEP_COLUMNS = ("n", "k", "d", "kind", "k_hat", "epsilon", "seed",
                  "constraint_count", "information_ratio", "rho",
                  "satisfied_fraction", "c_hat", "loss", "iterations",
                  "stop_reason", "final_objective", "status")
+_TIMING_COLUMNS = ("n", "k", "d", "kind", "k_hat", "epsilon", "seed", "wall_time")
 
 _DEFAULT_SMOOTHING = 0.05
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -61,10 +62,15 @@ class SignalSpec:
     param: float | None = None  # smoothing rate / constant typicality score
 
     def __post_init__(self):
-        needs_k_hat = self.kind in (LabelKind.SPARSE_SOFT, LabelKind.TOP_CLASS,
-                                    LabelKind.PCA_COORDS)
-        if needs_k_hat and (self.k_hat is None or self.k_hat < 1):
-            raise ValueError(f"signal {self.kind.value} requires k_hat >= 1")
+        """A field the kind ignores would still name the row and seed its noise."""
+        if self.kind in (LabelKind.SPARSE_SOFT, LabelKind.TOP_CLASS, LabelKind.PCA_COORDS):
+            if self.k_hat is None or self.k_hat < 1:
+                raise ValueError(f"signal {self.kind.value} requires k_hat >= 1")
+        elif self.k_hat is not None:
+            raise ValueError(f"signal {self.kind.value} takes no k_hat")
+        if self.param is not None and self.kind not in (LabelKind.SMOOTHED,
+                                                        LabelKind.TYPICALITY):
+            raise ValueError(f"signal {self.kind.value} takes no param")
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind.value}
@@ -128,14 +134,7 @@ class SweepSpec:
             "reps": self.reps,
             "sigma": self.sigma,
             "base_seed": self.base_seed,
-            "solver": {
-                "margin": self.solver.margin,
-                "lam": self.solver.lam,
-                "step_size": self.solver.step_size,
-                "max_iterations": self.solver.max_iterations,
-                "tolerance": self.solver.tolerance,
-                "seed": self.solver.seed,
-            },
+            "solver": asdict(self.solver),
             "tradeoff": {
                 "beta": self.tradeoff.beta,
                 "utility_kind": self.tradeoff.utility_kind.value,
@@ -190,7 +189,7 @@ def build_labels(dataset: LatentDataset, signal: SignalSpec) -> LabelSet:
         reference = similarity_matrix(dataset.points)
         return topclass_labels(soft_labels(dataset), signal.k_hat, reference)
     if kind is LabelKind.PCA_COORDS:
-        return pca_encode(dataset, _effective_k_hat(signal, dataset))
+        return pca_encode(dataset, min(signal.k_hat, _pca_width(dataset)))
     raise ValueError(f"no label builder for kind {kind!r}")
 
 
@@ -207,12 +206,6 @@ def _pca_width(dataset: LatentDataset) -> int:
     return min(dataset.d, dataset.n + dataset.k)
 
 
-def _effective_k_hat(signal: SignalSpec, dataset: LatentDataset) -> int | None:
-    if signal.kind is LabelKind.PCA_COORDS:
-        return min(signal.k_hat, _pca_width(dataset))
-    return signal.k_hat
-
-
 def evaluate_cell(spec: SweepSpec, cell, table: dict | None = None) -> tuple[dict, float]:
     """Run one (n, k, d, signal, epsilon, rep) cell.
 
@@ -223,16 +216,15 @@ def evaluate_cell(spec: SweepSpec, cell, table: dict | None = None) -> tuple[dic
     """
     n, k, d, signal, eps, rep = cell
     ds_seed = derive_seed(spec.base_seed, n=n, k=k, d=d, rep=rep)
-    k_hat_requested = signal.k_hat
     row = dict.fromkeys(SWEEP_COLUMNS, "")
     row.update({"n": n, "k": k, "d": d, "kind": signal.kind.value,
-                "k_hat": "" if k_hat_requested is None else k_hat_requested,
+                "k_hat": "" if signal.k_hat is None else signal.k_hat,
                 "epsilon": eps, "seed": ds_seed, "status": "ok"})
     start = time.perf_counter()
     try:
         dataset = generate_dataset(n=n, k=k, d=d, sigma=spec.sigma, seed=ds_seed)
         labels = build_labels(dataset, signal)
-        k_hat_eff = _effective_k_hat(signal, dataset)
+        k_hat_eff = labels.k_hat
         if k_hat_eff is not None:
             row["k_hat"] = k_hat_eff
         constraints = mine_constraints(labels, dataset.n)
@@ -277,10 +269,7 @@ def _init_worker():
 
 
 def _worker(args):
-    spec_dict, cell_key = args
-    spec = SweepSpec.from_dict(spec_dict)
-    n, k, d, signal_dict, eps, rep = cell_key
-    cell = (n, k, d, SignalSpec.from_dict(signal_dict), eps, rep)
+    spec, cell = args
     return evaluate_cell(spec, cell, _worker_table)
 
 
@@ -314,9 +303,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1):
         table: dict = {}
         results = [evaluate_cell(spec, cell, table) for cell in cells]
     else:
-        spec_dict = spec.to_dict()
-        jobs = [(spec_dict, (n, k, d, s.to_dict(), eps, rep))
-                for (n, k, d, s, eps, rep) in cells]
+        jobs = [(spec, cell) for cell in cells]
         with _single_threaded_blas(), get_context("spawn").Pool(
                 processes=workers, initializer=_init_worker) as pool:
             results = pool.map(_worker, jobs)  # map preserves submission order
@@ -348,12 +335,8 @@ def rows_from_csv(text: str):
 
 
 def timings_to_csv(rows, times) -> str:
-    lines = ["n,k,d,kind,k_hat,epsilon,seed,wall_time"]
-    for row, t in zip(rows, times):
-        key = ",".join(_format_value(row[c]) for c in
-                       ("n", "k", "d", "kind", "k_hat", "epsilon", "seed"))
-        lines.append(f"{key},{repr(t)}")
-    return "\n".join(lines) + "\n"
+    return rows_to_csv([{**row, "wall_time": t} for row, t in zip(rows, times)],
+                       _TIMING_COLUMNS)
 
 
 def pca_recovery_curve(dataset: LatentDataset, k_hats,

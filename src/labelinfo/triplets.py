@@ -166,23 +166,6 @@ def apply_noise(constraints: ConstraintSet, epsilon: float, seed: int) -> Constr
     return replace(constraints, triplets=triplets, flip_rate=epsilon)
 
 
-def geometric_consistency_rate(constraints: ConstraintSet, coords: np.ndarray) -> float:
-    """Fraction of constraints satisfied by the given item geometry.
-
-    Diagnostic for centroid-anchored constraints mined from soft labels,
-    which compare row-normalized masses across points and are therefore not
-    guaranteed to respect the latent distances.
-    """
-    if len(constraints) == 0:
-        raise ValueError("constraint set is empty")
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape[0] != constraints.m:
-        raise ValueError(f"geometry covers {coords.shape[0]} items, constraints expect {constraints.m}")
-    sq = _squared_distances(coords)
-    a, b, c = constraints.triplets.T
-    return float(np.mean(sq[a, b] < sq[a, c]))
-
-
 def constraints_to_csv(constraints: ConstraintSet) -> str:
     lines = ["n,k,source_kind,flip_rate",
              f"{constraints.n_points},{constraints.n_centroids},"

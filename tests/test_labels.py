@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelinfo.labels import (LabelKind, LabelSet, column_mutual_information,
-                              hard_labels, labelset_from_csv, labelset_to_csv,
-                              pca_encode, smooth_labels, soft_labels,
-                              sparsify_labels, topclass_labels,
-                              typicality_labels)
+from labelinfo.labels import (LabelKind, LabelSet, _columns_mutual_information,
+                              hard_labels, pca_encode, smooth_labels, soft_labels,
+                              sparsify_labels, topclass_labels, typicality_labels)
 from labelinfo.latentgen import LatentDataset, generate_dataset, similarity_matrix
 
 
@@ -185,6 +183,12 @@ def test_smooth_preserves_argmax_below_threshold(k, eps, seed):
     assert np.allclose(out.values.sum(axis=1), 1.0, atol=1e-9)
 
 
+def column_mutual_information(column, reference, bins=8):
+    """One column's mutual information, through the estimator `topclass_labels` uses."""
+    values = np.asarray(column, dtype=float)[:, None]
+    return float(_columns_mutual_information(values, reference, bins)[0])
+
+
 def test_mutual_information_constant_column_is_zero():
     rng = np.random.default_rng(0)
     items = rng.standard_normal((40, 3))
@@ -347,17 +351,3 @@ def test_probability_kinds_row_sums(n, k, d, seed):
     smoothed = smooth_labels(hard, 0.05)
     assert np.allclose(smoothed.values.sum(axis=1), 1.0, atol=1e-9)
 
-
-def test_labelset_csv_round_trip():
-    ds = generate_dataset(n=5, k=3, d=2, seed=4)
-    soft = soft_labels(ds)
-    back = labelset_from_csv(labelset_to_csv(soft))
-    assert back.kind is LabelKind.SOFT
-    assert np.array_equal(back.values, soft.values)
-
-    top = topclass_labels(soft, 2, similarity_matrix(ds.points))
-    back = labelset_from_csv(labelset_to_csv(top))
-    assert back.kind is LabelKind.TOP_CLASS
-    assert back.k_hat == 2
-    assert back.retained_columns == top.retained_columns
-    assert np.array_equal(back.values, top.values)

@@ -4,12 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelinfo.gnmds import GramMatrix
-from labelinfo.labels import (LabelKind, LabelSet, hard_labels, smooth_labels,
-                              soft_labels)
 from labelinfo.latentgen import generate_dataset, similarity_matrix
-from labelinfo.metrics import (LabelStats, PcaCurve, effective_dimensionality,
-                               label_stats, recovery_score, spearman,
-                               triplet_disagreement_rate)
+from labelinfo.metrics import PcaCurve, effective_dimensionality, recovery_score, spearman
 
 
 def test_spearman_perfect_and_reversed():
@@ -52,122 +48,11 @@ def test_recovery_score_exact_geometry():
     assert recovery_score(gram, truth) == pytest.approx(1.0)
 
 
-def test_recovery_score_normalize_flag():
-    rng = np.random.default_rng(4)
-    items = rng.standard_normal((8, 3))
-    scales = rng.uniform(0.5, 3.0, size=8)
-    scaled = items * scales[:, None]
-    gram = GramMatrix(size=8, entries=scaled @ scaled.T, diagnostics={})
-    truth = similarity_matrix(items, normalized=True)
-    raw = recovery_score(gram, truth)
-    cosine = recovery_score(gram, truth, normalize_gram=True)
-    # normalizing the gram restores the cosine structure exactly
-    assert cosine == pytest.approx(1.0)
-    assert raw < cosine
-
-
 def test_recovery_score_size_mismatch():
     gram = GramMatrix(size=3, entries=np.eye(3), diagnostics={})
     truth = similarity_matrix(np.eye(4))
     with pytest.raises(ValueError):
         recovery_score(gram, truth)
-
-
-def test_disagreement_identical_structures_is_zero():
-    rng = np.random.default_rng(1)
-    coords = rng.standard_normal((7, 3))
-    assert triplet_disagreement_rate(coords, coords.copy()) == 0.0
-
-
-def test_disagreement_mirrored_geometry_is_zero():
-    rng = np.random.default_rng(2)
-    coords = rng.standard_normal((6, 3))
-    assert triplet_disagreement_rate(coords, -coords) == 0.0
-    assert triplet_disagreement_rate(coords, coords * 3.0 + 1.0) == 0.0
-
-
-def test_disagreement_hand_cases():
-    # swapping the outer two of three collinear points flips every query
-    a = np.array([[0.0], [1.0], [4.0]])
-    swapped = np.array([[0.0], [4.0], [1.0]])
-    assert triplet_disagreement_rate(a, swapped) == pytest.approx(1.0)
-    # moving the middle point from 1 to 3 flips only the query anchored there
-    shifted = np.array([[0.0], [3.0], [4.0]])
-    assert triplet_disagreement_rate(a, shifted) == pytest.approx(1.0 / 3.0)
-
-
-def test_disagreement_all_ties_returns_zero():
-    same = np.zeros((4, 2))
-    spread = np.arange(8.0).reshape(4, 2)
-    assert triplet_disagreement_rate(same, spread) == 0.0
-
-
-def test_disagreement_accepts_similarity_and_errors():
-    rng = np.random.default_rng(3)
-    items = rng.standard_normal((5, 4))
-    sim = similarity_matrix(items)
-    unit = items / np.linalg.norm(items, axis=1, keepdims=True)
-    # cosine similarity ranks == negated squared distance ranks on the sphere
-    assert triplet_disagreement_rate(sim, unit) == 0.0
-    with pytest.raises(ValueError):
-        triplet_disagreement_rate(items, rng.standard_normal((6, 4)))
-    with pytest.raises(ValueError):
-        triplet_disagreement_rate(items[:2], items[:2])
-    with pytest.raises(ValueError):
-        triplet_disagreement_rate(items, items, sample_size=0)
-
-
-def test_disagreement_sampled_close_to_exhaustive():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((10, 3))
-    b = a + rng.standard_normal((10, 3)) * 0.8
-    exact = triplet_disagreement_rate(a, b)
-    sampled = triplet_disagreement_rate(a, b, sample_size=20000, seed=7)
-    assert sampled == pytest.approx(exact, abs=0.02)
-    # seeded sampling is reproducible
-    again = triplet_disagreement_rate(a, b, sample_size=20000, seed=7)
-    assert sampled == again
-
-
-def test_label_stats_one_hot():
-    lab = LabelSet(kind=LabelKind.HARD, values=np.eye(4))
-    stats = label_stats(lab)
-    assert stats.mean_entropy == 0.0
-    assert stats.normalized_entropy == 0.0
-    assert stats.stochastic_ir == 1.0
-    assert stats.variance_first_order == 0.0
-
-
-def test_label_stats_uniform():
-    lab = LabelSet(kind=LabelKind.SOFT, values=np.full((3, 8), 0.125))
-    stats = label_stats(lab)
-    assert stats.mean_entropy == pytest.approx(3.0)  # log2(8)
-    assert stats.normalized_entropy == pytest.approx(1.0)
-    assert stats.stochastic_ir == pytest.approx(0.0)
-
-
-def test_label_stats_mixed_rows():
-    values = np.array([[1.0, 0.0], [0.5, 0.5]])
-    stats = label_stats(LabelSet(kind=LabelKind.SOFT, values=values))
-    assert stats.mean_entropy == pytest.approx(0.5)
-    assert stats.variance_first_order == pytest.approx(np.var([1.0, 0.5]))
-
-
-def test_label_stats_rejects_non_probability():
-    coords = LabelSet(kind=LabelKind.PCA_COORDS, values=np.eye(3))
-    with pytest.raises(TypeError):
-        label_stats(coords)
-    bad = LabelSet(kind=LabelKind.SOFT, values=np.array([[0.7, 0.7]]))
-    with pytest.raises(TypeError):
-        label_stats(bad)
-
-
-def test_smoothing_monotone_in_entropy():
-    ds = generate_dataset(n=20, k=5, d=3, seed=6)
-    hard = hard_labels(ds)
-    entropies = [label_stats(smooth_labels(hard, eps)).mean_entropy
-                 for eps in (0.0, 0.1, 0.3, 0.5)]
-    assert all(a < b for a, b in zip(entropies, entropies[1:]))
 
 
 def test_pca_curve_validation():
@@ -200,15 +85,3 @@ def test_spearman_invariant_to_monotone_transform(grid, seed):
     warped = np.exp(xs / 25.0) + 3.0
     assert spearman(warped, ys) == pytest.approx(base, abs=1e-12)
     assert spearman(ys, xs) == pytest.approx(base, abs=1e-12)
-
-
-@settings(deadline=None, max_examples=80)
-@given(st.integers(3, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_disagreement_is_bounded_and_symmetric(m, dim, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, dim))
-    b = rng.standard_normal((m, dim))
-    r = triplet_disagreement_rate(a, b)
-    assert 0.0 <= r <= 1.0
-    assert triplet_disagreement_rate(b, a) == r
-    assert triplet_disagreement_rate(a, a) == 0.0

@@ -10,7 +10,7 @@ import pytest
 import labelinfo
 from labelinfo import gnmds, sweep
 from labelinfo.cli import main
-from labelinfo.gnmds import gram_from_csv, solve
+from labelinfo.gnmds import solve
 from labelinfo.labels import LabelKind, soft_labels
 from labelinfo.latentgen import generate_dataset, similarity_matrix
 from labelinfo.metrics import effective_dimensionality, recovery_score
@@ -44,6 +44,18 @@ def test_signal_spec_round_trip_and_validation():
     assert plain.to_dict() == {"kind": "soft"}
     with pytest.raises(ValueError, match="parm"):
         SignalSpec.from_dict({"kind": "smoothed", "parm": 0.3})
+
+
+@pytest.mark.parametrize("signal, field", [({"kind": "hard", "k_hat": 3}, "k_hat"),
+                                           ({"kind": "soft", "param": 0.3}, "param")])
+def test_signal_spec_rejects_fields_its_kind_ignores(tmp_path, capsys, signal, field):
+    with pytest.raises(ValueError, match=f"signal {signal['kind']} takes no {field}"):
+        SignalSpec.from_dict(signal)
+    cfg = _write_config(tmp_path, "spec.json", {"signals": [signal]})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert f"takes no {field}" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_spec_round_trip_and_validation():
@@ -316,21 +328,33 @@ def test_cli_simulate_and_determinism(tmp_path):
     assert (out1 / "sweep.csv").read_text() != (out3 / "sweep.csv").read_text()
 
 
+def _program_env(**extra):
+    """Environment for a child interpreter that imports this checkout's labelinfo."""
+    src = str(Path(labelinfo.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def test_cli_module_runs_as_main():
+    proc = subprocess.run([sys.executable, "-m", "labelinfo.cli", "defaults"],
+                          env=_program_env(), capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert SweepSpec.from_dict(json.loads(proc.stdout)) == SweepSpec()
+
+
 def test_cli_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
     # m = 45 items: large enough that OpenBLAS runs the solver's eigh on both
     # threads when it has two
     cfg = _write_config(tmp_path, "spec.json", {
         "n_grid": [5], "k_grid": [40], "d_grid": [5], "reps": 1,
         "signals": [{"kind": "hard"}, {"kind": "soft"}], "base_seed": 3})
-    src = str(Path(labelinfo.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
         subprocess.run([sys.executable, "-c", "from labelinfo.cli import entrypoint; entrypoint()",
                         "simulate", "--config", cfg, "--out", str(out)],
-                       env=env, check=True, timeout=300)
+                       env=_program_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                       timeout=300)
         outputs.append((out / "sweep.csv").read_bytes())
     assert outputs[0] == outputs[1]
 
@@ -356,8 +380,8 @@ def test_cli_embed(tmp_path):
         "solver": {"max_iterations": 500}})
     out = tmp_path / "out"
     assert main(["embed", "--config", cfg, "--out", str(out)]) == 0
-    gram = gram_from_csv((out / "gram.csv").read_text())
-    assert gram.size == 7
+    gram = np.loadtxt(out / "gram.csv", delimiter=",")
+    assert gram.shape == (7, 7)
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["satisfied_fraction"] > 0.9
     emb = np.array([[float(v) for v in ln.split(",")]
@@ -449,9 +473,10 @@ def test_cli_failure_line_names_the_first_failed_cell(tmp_path, monkeypatch, cap
         f"epsilon=0.0, seed={seed}, status=error: ValueError: boom\n")
 
 
-@pytest.mark.parametrize("command", ["analyze", "embed", "tradeoff", "defaults"])
-@pytest.mark.parametrize("flag", ["--workers", "--seed"])
-def test_cli_commands_without_a_sweep_reject_workers_and_seed(command, flag, capsys):
+@pytest.mark.parametrize("flag, command", [
+    (flag, command) for flag in ("--workers", "--seed")
+    for command in ("analyze", "embed", "tradeoff", "defaults")] + [("--config", "defaults")])
+def test_cli_commands_without_a_sweep_reject_workers_and_seed(flag, command, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main([command, flag, "2"])
     assert exit_info.value.code == 2
@@ -478,6 +503,16 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     assert main(["sparsity", "--config", sparsity, "--out", str(out)]) == 2
     assert "sigmaa" in capsys.readouterr().err
     assert not (out / "sparsity.csv").exists()
+    for command, payload, key in [
+            ("analyze", {"n_grd": [3], "k_grid": [4]}, "n_grd"),
+            ("embed", {"constraints_csv": "c.csv", "embeding_rank": 2}, "embeding_rank"),
+            ("tradeoff", {"sweep_csv": "s.csv", "n": 3, "k": 4, "d": 3, "beta_grd": [0.1]},
+             "beta_grd")]:
+        cfg = _write_config(tmp_path, f"{command}.json", payload)
+        command_out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(command_out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not command_out.exists()
 
 
 def test_cli_tradeoff_negative_beta_is_usage_error(tmp_path, capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import satisfied_share
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,9 +12,8 @@ from labelinfo.labels import (LabelKind, LabelSet, hard_labels, pca_encode,
 from labelinfo.latentgen import generate_dataset, similarity_matrix
 from labelinfo.triplets import (ConstraintSet, apply_noise, constraints_from_csv,
                                 constraints_to_csv, count_hard, count_soft,
-                                geometric_consistency_rate, information_ratio,
-                                mine_from_coordinates, mine_from_hard,
-                                mine_from_soft)
+                                information_ratio, mine_from_coordinates,
+                                mine_from_hard, mine_from_soft)
 
 _EMPTY = np.empty((0, 3), dtype=np.int64)
 
@@ -299,7 +299,7 @@ def test_coordinate_mining_full_rank_answers_everything():
     coords = pca_encode(ds, 4)
     cs = mine_from_coordinates(coords, n_points=5)
     assert information_ratio(len(cs), 5, 3) == pytest.approx(1.0)
-    assert geometric_consistency_rate(cs, coords.values) == 1.0
+    assert satisfied_share(cs.triplets, coords.values) == 1.0
 
 
 def test_triplets_are_lexsorted_and_unique():
@@ -341,15 +341,6 @@ def test_apply_noise_rejects_bad_rate():
         apply_noise(cs, -0.1, seed=0)
     with pytest.raises(ValueError):
         apply_noise(cs, 1.5, seed=0)
-
-
-def test_geometric_consistency_errors():
-    cs = ConstraintSet(1, 2, np.array([[0, 1, 2]], dtype=np.int64), "hard")
-    with pytest.raises(ValueError):
-        geometric_consistency_rate(cs, np.zeros((2, 2)))
-    empty = ConstraintSet(1, 2, np.empty((0, 3), dtype=np.int64), "hard")
-    with pytest.raises(ValueError):
-        geometric_consistency_rate(empty, np.zeros((3, 2)))
 
 
 def test_constraint_csv_round_trip():
