@@ -16,9 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, costbenefit, render, sweep, triplets
-from .costbenefit import SignalOption, TradeoffConfig, UtilityKind
-from .gnmds import SolverConfig, extract_embedding, gram_to_csv, solve
-from .labels import LabelKind
+from .costbenefit import TradeoffConfig, UtilityKind
+from .gnmds import SolverConfig, check_count, extract_embedding, solve
+from .labels import PARTIAL_KINDS, LabelKind
+
+_CURVE_KINDS = tuple(kind.value for kind in PARTIAL_KINDS)
 
 
 class UsageError(Exception):
@@ -55,44 +57,48 @@ def _write_manifest(outdir: Path, command: str, spec_dict: dict,
     (outdir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _sweep_spec(args) -> sweep.SweepSpec:
+def _sweep_spec(args, what: str, to_sweep_config=dict) -> sweep.SweepSpec:
+    """The command's config, turned into a sweep config; --seed replaces its base seed."""
     try:
-        spec = sweep.SweepSpec.from_dict(_load_config(args.config))
+        spec = sweep.SweepSpec.from_dict(to_sweep_config(_load_config(args.config)))
         if args.seed is not None:
             spec = dataclasses.replace(spec, base_seed=args.seed)
         return spec
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad sweep config: {exc}") from exc
+        raise UsageError(f"bad {what} config: {exc}") from exc
 
 
-def _report_failures(command: str, rows) -> int:
-    """Exit code for a finished sweep; names the first failed cell on stderr."""
-    failed = [row for row in rows if row["status"] != "ok"]
-    if not failed:
-        return 0
-    first = ", ".join(f"{c}={failed[0][c]}" for c in
-                      ("n", "k", "d", "kind", "k_hat", "epsilon", "seed", "status"))
-    print(f"{command}: {len(failed)}/{len(rows)} cells failed; first: {first}",
-          file=sys.stderr)
-    return 1
-
-
-def cmd_simulate(args) -> int:
-    spec = _sweep_spec(args)
+def _run_sweep_command(args, command: str, spec: sweep.SweepSpec, rows_csv: str,
+                       plots) -> int:
+    """Run the sweep; write its rows, timings.csv, `plots(rows)` files and the manifest."""
     outdir = _outdir(args)
     start = time.perf_counter()
     rows, times = sweep.run_sweep(spec, workers=args.workers)
-    (outdir / "sweep.csv").write_text(sweep.rows_to_csv(rows))
+    (outdir / rows_csv).write_text(render.rows_to_csv(rows, sweep.SWEEP_COLUMNS))
     (outdir / "timings.csv").write_text(sweep.timings_to_csv(rows, times))
+    for name, text in plots(rows).items():
+        (outdir / name).write_text(text)
+    _write_manifest(outdir, command, spec.to_dict(),
+                    time.perf_counter() - start, args.workers)
+    failed = [row for row in rows if row["status"] != "ok"]
+    if failed:
+        first = ", ".join(f"{c}={failed[0][c]}" for c in sweep.CELL_COLUMNS + ("status",))
+        print(f"{command}: {len(failed)}/{len(rows)} cells failed; first: {first}",
+              file=sys.stderr)
+    return 1 if failed else 0
+
+
+def _rho_heatmap(rows) -> dict:
     try:
         svg, pivot_csv = render.render_heatmap(rows, "rho", "kind")
-        (outdir / "heatmap_rho_kind.svg").write_text(svg)
-        (outdir / "heatmap_rho_kind.csv").write_text(pivot_csv)
     except ValueError:
-        pass  # every cell failed; sweep.csv still carries the statuses
-    _write_manifest(outdir, "simulate", spec.to_dict(),
-                    time.perf_counter() - start, args.workers)
-    return _report_failures("simulate", rows)
+        return {}  # every cell failed; sweep.csv still carries the statuses
+    return {"heatmap_rho_kind.svg": svg, "heatmap_rho_kind.csv": pivot_csv}
+
+
+def cmd_simulate(args) -> int:
+    return _run_sweep_command(args, "simulate", _sweep_spec(args, "sweep"), "sweep.csv",
+                              _rho_heatmap)
 
 
 def _check_keys(config: dict, known, what: str) -> None:
@@ -110,6 +116,8 @@ def cmd_analyze(args) -> int:
         k_grid = tuple(config.get("k_grid", sweep.SweepSpec().k_grid))
         if not n_grid or not k_grid:
             raise ValueError("n_grid and k_grid must be non-empty")
+        for value in n_grid + k_grid:
+            check_count("analyze grid value", value, 1)
         rows = []
         for n in n_grid:
             for k in k_grid:
@@ -124,7 +132,7 @@ def cmd_analyze(args) -> int:
     outdir = _outdir(args)
     start = time.perf_counter()
     (outdir / "analysis.csv").write_text(
-        sweep.rows_to_csv(rows, ("n", "k", "kind", "information_ratio")))
+        render.rows_to_csv(rows, ("n", "k", "kind", "information_ratio")))
     svg, pivot_csv = render.render_heatmap(rows, "information_ratio", "kind")
     (outdir / "heatmap_information_ratio_kind.svg").write_text(svg)
     (outdir / "heatmap_information_ratio_kind.csv").write_text(pivot_csv)
@@ -146,23 +154,24 @@ def cmd_embed(args) -> int:
         raise UsageError(f"cannot read constraints: {exc}") from exc
     except ValueError as exc:
         raise UsageError(f"bad constraints CSV: {exc}") from exc
+    rank = config.get("embedding_rank")
     try:
         solver = SolverConfig(**config.get("solver", {}))
+        if rank is not None:
+            check_count("embedding_rank", rank, 1, constraints.m)
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad solver config: {exc}") from exc
+        raise UsageError(f"bad embed config: {exc}") from exc
     outdir = _outdir(args)
     start = time.perf_counter()
     try:
         gram = solve(constraints, solver)
-        rank = config.get("embedding_rank")
-        if rank is not None:
-            coords = extract_embedding(gram, int(rank))
-            coord_lines = [",".join(repr(float(v)) for v in row) for row in coords]
-            (outdir / "embedding.csv").write_text("\n".join(coord_lines) + "\n")
     except (ValueError, IndexError) as exc:
         print(f"embed: solve failed: {exc}", file=sys.stderr)
         return 1
-    (outdir / "gram.csv").write_text(gram_to_csv(gram))
+    if rank is not None:
+        (outdir / "embedding.csv").write_text(
+            render.matrix_to_csv(extract_embedding(gram, rank)))
+    (outdir / "gram.csv").write_text(render.matrix_to_csv(gram.entries))
     (outdir / "diagnostics.json").write_text(
         json.dumps(gram.diagnostics, indent=2) + "\n")
     _write_manifest(outdir, "embed", config, time.perf_counter() - start)
@@ -170,29 +179,13 @@ def cmd_embed(args) -> int:
 
 
 def _options_from_sweep_rows(rows, n: int, k: int, d: int):
-    """Aggregate filtered sweep rows into one SignalOption per (kind, k_hat)."""
-    groups: dict = {}
-    for row in rows:
-        if (row.get("status", "ok") != "ok" or row["rho"] == ""
-                or int(row["n"]) != n or int(row["k"]) != k
-                or int(row["d"]) != d or float(row["epsilon"]) != 0.0):
-            continue
-        k_hat = int(row["k_hat"]) if str(row["k_hat"]) != "" else None
-        key = (row["kind"], k_hat)
-        groups.setdefault(key, []).append(
-            (float(row["rho"]), float(row["c_hat"])))
-    options = []
-    for (kind_str, k_hat), samples in sorted(
-            groups.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0)):
-        kind = LabelKind(kind_str)
-        mean_rho = sum(r for r, _ in samples) / len(samples)
-        c_hat = samples[0][1]
-        if k_hat is None:
-            k_hat = k if kind is LabelKind.SOFT else 1
-        options.append(SignalOption(kind=kind, k_hat=k_hat,
-                                    rho=float(np.clip(mean_rho, -1.0, 1.0)),
-                                    cost_units=c_hat))
-    return options
+    """One SignalOption per (kind, k_hat): mean rho over the cell's noiseless rows."""
+    cell = [row for row in rows if (int(row["n"]), int(row["k"]), int(row["d"]),
+                                    float(row["epsilon"])) == (n, k, d, 0.0)]
+    means = render.mean_by(cell, lambda row: (row["kind"], int(row["k_hat"] or 0)), "rho")
+    return [costbenefit.signal_option(LabelKind(kind), n, k, k_hat or None,
+                                      float(np.clip(mean_rho, -1.0, 1.0)))
+            for (kind, k_hat), (mean_rho, _) in means.items()]
 
 
 def cmd_tradeoff(args) -> int:
@@ -206,8 +199,8 @@ def cmd_tradeoff(args) -> int:
         rows = sweep.rows_from_csv(Path(config["sweep_csv"]).read_text())
     except OSError as exc:
         raise UsageError(f"cannot read sweep CSV: {exc}") from exc
-    n, k, d = int(config["n"]), int(config["k"]), int(config["d"])
     try:
+        n, k, d = int(config["n"]), int(config["k"]), int(config["d"])
         utility_kind = UtilityKind(config.get("utility_kind", "linear"))
         beta_grid = [float(b) for b in
                      config.get("beta_grid", np.linspace(0.0, 0.5, 50))]
@@ -226,25 +219,14 @@ def cmd_tradeoff(args) -> int:
     panel_betas = {beta_grid[round(i * (len(beta_grid) - 1) / 3)]
                    for i in range(4)} if len(beta_grid) > 4 else set(beta_grid)
     for cfg in configs:
-        table = costbenefit.tradeoff_table(options, cfg)
-        table_rows.extend(table)
+        table_rows.extend(costbenefit.tradeoff_table(options, cfg))
         if cfg.beta in panel_betas:
-            series = {}
-            hlines = {}
-            for opt in options:
-                value = costbenefit.loss(opt, cfg)
-                if opt.kind in (LabelKind.SPARSE_SOFT, LabelKind.TOP_CLASS,
-                                LabelKind.PCA_COORDS):
-                    series.setdefault(opt.kind.value, []).append((opt.k_hat, value))
-                else:
-                    hlines[opt.kind.value] = value
+            losses = {(o.kind.value, o.k_hat): costbenefit.loss(o, cfg) for o in options}
+            panel = render.curve_panel(f"n={n} k={k} beta={cfg.beta:.4g}", losses,
+                                       _CURVE_KINDS)
             best = costbenefit.optimize_sparsity(options, cfg)
-            panels.append({
-                "title": f"n={n} k={k} beta={cfg.beta:.4g}",
-                "series": series, "hlines": hlines,
-                "marker": (best.k_hat, costbenefit.loss(best, cfg),
-                           best.kind.value),
-            })
+            panel["marker"] = (best.k_hat, costbenefit.loss(best, cfg), best.kind.value)
+            panels.append(panel)
     (outdir / "tradeoff.csv").write_text(costbenefit.tradeoff_to_csv(table_rows))
     (outdir / "tradeoff.svg").write_text(
         render.render_curve_panels(panels, xlabel="k_hat", ylabel="loss"))
@@ -256,63 +238,42 @@ def cmd_tradeoff(args) -> int:
 _SPARSITY_KEYS = ("n", "k", "d", "k_hat_grid", "reps", "sigma", "base_seed", "solver")
 
 
+def _sparsity_sweep_config(config: dict) -> dict:
+    """A sparsity config as the sweep config of its one (n, k, d) cell: hard and
+    soft labels, then each partial kind at every k_hat of the grid."""
+    sweep.reject_unknown_keys(config, _SPARSITY_KEYS, "sparsity config")
+    n, k, d = config.get("n", 20), config.get("k", 20), config.get("d", 5)
+    if "k_hat_grid" in config:
+        k_hat_grid = sorted(set(config["k_hat_grid"]))
+        outside = [v for v in k_hat_grid if not 1 <= v <= k]
+        if outside:
+            raise ValueError(f"k_hat_grid value {outside[0]} lies outside [1, {k}]")
+    else:
+        k_hat_grid = [v for v in (1, 2, 3, 5, 10) if v <= k]
+    if not k_hat_grid:
+        raise ValueError(f"k_hat_grid has no values in [1, {k}]")
+    signals = [{"kind": "hard"}, {"kind": "soft"}] + [
+        {"kind": kind, "k_hat": k_hat} for kind in _CURVE_KINDS for k_hat in k_hat_grid]
+    rest = {key: config[key] for key in ("reps", "sigma", "base_seed", "solver")
+            if key in config}
+    return {"n_grid": [n], "k_grid": [k], "d_grid": [d], "signals": signals, **rest}
+
+
+def _rho_curves(rows) -> dict:
+    means = render.mean_by(rows, lambda row: (row["kind"], row["k_hat"]), "rho")
+    n, k, d = (rows[0][c] for c in ("n", "k", "d"))
+    panel = render.curve_panel(f"n={n} k={k} d={d}",
+                               {key: mean for key, (mean, _) in means.items()},
+                               _CURVE_KINDS)
+    if not panel["series"]:
+        return {}  # no partial signal has an ok row to draw
+    return {"sparsity.svg": render.render_curve_panels([panel], xlabel="k_hat",
+                                                       ylabel="rho")}
+
+
 def cmd_sparsity(args) -> int:
-    config = _load_config(args.config)
-    _check_keys(config, _SPARSITY_KEYS, "sparsity config")
-    try:
-        n = int(config.get("n", 20))
-        k = int(config.get("k", 20))
-        d = int(config.get("d", 5))
-        if "k_hat_grid" in config:
-            k_hat_grid = sorted({int(v) for v in config["k_hat_grid"]})
-            outside = [v for v in k_hat_grid if not 1 <= v <= k]
-            if outside:
-                raise ValueError(f"k_hat_grid value {outside[0]} lies outside [1, {k}]")
-        else:
-            k_hat_grid = [v for v in (1, 2, 3, 5, 10) if v <= k]
-        if not k_hat_grid:
-            raise ValueError(f"k_hat_grid has no values in [1, {k}]")
-        signals = [sweep.SignalSpec(LabelKind.HARD), sweep.SignalSpec(LabelKind.SOFT)]
-        for kind in (LabelKind.SPARSE_SOFT, LabelKind.TOP_CLASS,
-                     LabelKind.PCA_COORDS):
-            signals.extend(sweep.SignalSpec(kind, k_hat=kh) for kh in k_hat_grid)
-        spec = sweep.SweepSpec(
-            n_grid=(n,), k_grid=(k,), d_grid=(d,), signals=tuple(signals),
-            epsilon_grid=(0.0,),
-            reps=int(config.get("reps", 3)),
-            sigma=float(config.get("sigma", 0.5)),
-            base_seed=args.seed if args.seed is not None
-            else int(config.get("base_seed", 0)),
-            solver=SolverConfig(**config.get("solver", {})),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad sparsity config: {exc}") from exc
-    outdir = _outdir(args)
-    start = time.perf_counter()
-    rows, times = sweep.run_sweep(spec, workers=args.workers)
-    (outdir / "sparsity.csv").write_text(sweep.rows_to_csv(rows))
-    (outdir / "timings.csv").write_text(sweep.timings_to_csv(rows, times))
-    ok_rows = [r for r in rows if r["status"] == "ok"]
-    if ok_rows:
-        series: dict = {}
-        hlines = {}
-        for kind in ("sparse", "topclass", "pca"):
-            pts: dict = {}
-            for row in ok_rows:
-                if row["kind"] == kind:
-                    pts.setdefault(int(row["k_hat"]), []).append(float(row["rho"]))
-            if pts:
-                series[kind] = [(kh, sum(v) / len(v)) for kh, v in sorted(pts.items())]
-        for kind in ("hard", "soft"):
-            vals = [float(r["rho"]) for r in ok_rows if r["kind"] == kind]
-            if vals:
-                hlines[kind] = sum(vals) / len(vals)
-        panel = {"title": f"n={n} k={k} d={d}", "series": series, "hlines": hlines}
-        (outdir / "sparsity.svg").write_text(
-            render.render_curve_panels([panel], xlabel="k_hat", ylabel="rho"))
-    _write_manifest(outdir, "sparsity", spec.to_dict(),
-                    time.perf_counter() - start, args.workers)
-    return _report_failures("sparsity", rows)
+    spec = _sweep_spec(args, "sparsity", _sparsity_sweep_config)
+    return _run_sweep_command(args, "sparsity", spec, "sparsity.csv", _rho_curves)
 
 
 def cmd_defaults(args) -> int:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labels import LabelKind
+from .labels import PARTIAL_KINDS, LabelKind
+from .render import rows_to_csv
 
 
 class UtilityKind(enum.Enum):
@@ -55,8 +56,6 @@ _FLAT_COSTS = {
     LabelKind.SMOOTHED: 1.0,
     LabelKind.TYPICALITY: 2.0,
 }
-_PER_COMPONENT = frozenset(
-    {LabelKind.SPARSE_SOFT, LabelKind.TOP_CLASS, LabelKind.PCA_COORDS})
 
 
 def cost(kind: LabelKind, n: int, k: int, k_hat: int | None = None) -> float:
@@ -67,7 +66,7 @@ def cost(kind: LabelKind, n: int, k: int, k_hat: int | None = None) -> float:
         return _FLAT_COSTS[kind]
     if kind is LabelKind.SOFT:
         return float(k)
-    if kind in _PER_COMPONENT:
+    if kind in PARTIAL_KINDS:
         if k_hat is None:
             raise ValueError(f"{kind.value} cost requires k_hat")
         top = n + k if kind is LabelKind.PCA_COORDS else k
@@ -75,6 +74,19 @@ def cost(kind: LabelKind, n: int, k: int, k_hat: int | None = None) -> float:
             raise ValueError(f"k_hat must lie in [1, {top}], got {k_hat}")
         return float(k_hat)
     raise ValueError(f"no cost model for kind {kind!r}")
+
+
+def signal_option(kind: LabelKind, n: int, k: int, k_hat: int | None,
+                  rho: float) -> SignalOption:
+    """The option a signal gives, priced by `cost`.
+
+    A full signal has no k_hat of its own: a soft label counts as k_hat = k
+    and any other full label as k_hat = 1.
+    """
+    c_hat = cost(kind, n, k, k_hat)
+    if k_hat is None:
+        k_hat = k if kind is LabelKind.SOFT else 1
+    return SignalOption(kind=kind, k_hat=k_hat, rho=rho, cost_units=c_hat)
 
 
 def utility(rho: float, config: TradeoffConfig) -> float:
@@ -130,9 +142,4 @@ _TRADEOFF_COLUMNS = ("kind", "k_hat", "rho", "c_hat", "beta",
 
 
 def tradeoff_to_csv(rows) -> str:
-    lines = [",".join(_TRADEOFF_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(
-            repr(float(row[c])) if isinstance(row[c], float) else str(row[c])
-            for c in _TRADEOFF_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return rows_to_csv(rows, _TRADEOFF_COLUMNS)

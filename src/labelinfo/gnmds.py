@@ -49,6 +49,17 @@ _MIN_STEP = 1e-18
 _GROW = 1.2
 
 
+def check_count(name: str, value, low: int, high: int | None = None) -> None:
+    """Reject a count that is not an integer (a bool included) or lies outside [low, high].
+
+    A float count would otherwise fail deep inside a run, as a TypeError traceback.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     margin: float = 1.0
@@ -64,8 +75,7 @@ class SolverConfig:
             raise ValueError(f"trace weight must be positive, got {self.lam}")
         if self.step_size is not None and self.step_size <= 0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        check_count("max_iterations", self.max_iterations, 1)
         if self.tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
@@ -196,9 +206,4 @@ def extract_embedding(gram: GramMatrix, h: int) -> np.ndarray:
     top = np.argsort(eigvals)[::-1][:h]
     scale = np.sqrt(np.maximum(eigvals[top], 0.0))
     return eigvecs[:, top] * scale
-
-
-def gram_to_csv(gram: GramMatrix) -> str:
-    lines = [",".join(repr(float(v)) for v in row) for row in gram.entries]
-    return "\n".join(lines) + "\n"
 

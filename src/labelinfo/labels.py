@@ -27,6 +27,9 @@ class LabelKind(enum.Enum):
     PCA_COORDS = "pca"
 
 
+# Kinds that keep k_hat components per point, in the order sparsity sweeps run them.
+PARTIAL_KINDS = (LabelKind.SPARSE_SOFT, LabelKind.TOP_CLASS, LabelKind.PCA_COORDS)
+
 # Kinds minable with the soft-label comparison rules.
 SOFT_MINEABLE_KINDS = frozenset(
     {LabelKind.SOFT, LabelKind.SMOOTHED, LabelKind.TYPICALITY,

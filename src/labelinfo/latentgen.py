@@ -52,15 +52,6 @@ class SimilarityMatrix:
 
     size: int
     values: np.ndarray
-    normalized: bool
-
-    def to_dense(self) -> np.ndarray:
-        """Dense symmetric matrix with zero diagonal."""
-        out = np.zeros((self.size, self.size))
-        iu = np.triu_indices(self.size, 1)
-        out[iu] = self.values
-        out.T[iu] = self.values
-        return out
 
 
 def generate_dataset(n: int, k: int, d: int, sigma: float = 0.5, seed: int = 0) -> LatentDataset:
@@ -104,5 +95,5 @@ def similarity_matrix(items: np.ndarray, normalized: bool = True) -> SimilarityM
         gram = gram / np.outer(norms, norms)
         gram = np.clip(gram, -1.0, 1.0)
     iu = np.triu_indices(m, 1)
-    return SimilarityMatrix(size=m, values=gram[iu], normalized=normalized)
+    return SimilarityMatrix(size=m, values=gram[iu])
 

@@ -1,6 +1,6 @@
-"""Hand-rolled deterministic SVG rendering: grid heatmaps and line curves.
+"""Every CSV artifact, and hand-rolled deterministic SVG heatmaps and line curves.
 
-Every number shown in a plot is recomputable from the pivot CSV emitted
+Every number shown in a heatmap is recomputable from the pivot CSV emitted
 alongside it; the SVG carries no state of its own. Output bytes depend only
 on the input rows.
 """
@@ -32,8 +32,34 @@ def _text(x, y, s, size=11, anchor="middle", fill="#000000") -> str:
             f'fill="{fill}">{escape(str(s))}</text>')
 
 
-def _is_ok(row) -> bool:
-    return str(row.get("status", "ok")) == "ok"
+def _format_value(value) -> str:
+    if isinstance(value, float):  # includes numpy scalars, whose repr differs
+        return repr(float(value))
+    return str(value)
+
+
+def rows_to_csv(rows, columns) -> str:
+    """Header line, then one line per row dict with the `columns` values."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_format_value(row[c]) for c in columns) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def matrix_to_csv(matrix) -> str:
+    """One line per matrix row, no header."""
+    return "\n".join(",".join(map(_format_value, row)) for row in matrix) + "\n"
+
+
+def mean_by(rows, key, metric: str) -> dict:
+    """{key(row): (mean, count)} of `metric` over ok rows that have a value, in key order."""
+    groups: dict = {}
+    for row in rows:
+        if str(row.get("status", "ok")) == "ok" and str(row[metric]) != "":
+            groups.setdefault(key(row), []).append(float(row[metric]))
+    return {group: (sum(vals) / len(vals), len(vals)) for group, vals in sorted(groups.items())}
+
+
+_PIVOT_COLUMNS = ("facet", "n", "k", "value", "count")
 
 
 def pivot_rows(rows, metric: str, facet: str):
@@ -47,25 +73,9 @@ def pivot_rows(rows, metric: str, facet: str):
     for column in (metric, facet, "n", "k"):
         if column not in rows[0]:
             raise ValueError(f"unknown column {column!r}")
-    groups: dict = {}
-    for row in rows:
-        if not _is_ok(row) or str(row[metric]) == "":
-            continue
-        key = (str(row[facet]), int(row["n"]), int(row["k"]))
-        groups.setdefault(key, []).append(float(row[metric]))
-    out = []
-    for (fval, n, k) in sorted(groups):
-        vals = groups[(fval, n, k)]
-        out.append({"facet": fval, "n": n, "k": k,
-                    "value": sum(vals) / len(vals), "count": len(vals)})
-    return out
-
-
-def pivot_to_csv(pivot) -> str:
-    lines = ["facet,n,k,value,count"]
-    lines.extend(f"{p['facet']},{p['n']},{p['k']},{repr(float(p['value']))},{p['count']}"
-                 for p in pivot)
-    return "\n".join(lines) + "\n"
+    means = mean_by(rows, lambda row: (str(row[facet]), int(row["n"]), int(row["k"])), metric)
+    return [dict(zip(_PIVOT_COLUMNS, (*key, value, count)))
+            for key, (value, count) in means.items()]
 
 
 def render_heatmap(rows, metric: str, facet: str) -> tuple[str, str]:
@@ -125,7 +135,7 @@ def render_heatmap(rows, metric: str, facet: str) -> tuple[str, str]:
                        f" cells averaged over reps", size=11, anchor="start"))
     parts.append("</svg>")
     svg = "\n".join(p for p in parts if p) + "\n"
-    return svg, pivot_to_csv(pivot)
+    return svg, rows_to_csv(pivot, _PIVOT_COLUMNS)
 
 
 def _panel_curves(parts, x0, y0, w, h, series, hlines, title, xlabel, ylabel):
@@ -174,6 +184,22 @@ def _panel_curves(parts, x0, y0, w, h, series, hlines, title, xlabel, ylabel):
         parts.append(_text(px(lx) + 4, py(ly), name, size=9, anchor="start",
                            fill=color))
     return px, py
+
+
+def curve_panel(title: str, values: dict, curve_kinds) -> dict:
+    """Panel for `render_curve_panels` from {(kind, k_hat): y}.
+
+    Each kind in `curve_kinds` becomes a curve over k_hat; any other kind
+    becomes a horizontal reference line.
+    """
+    series: dict = {}
+    hlines = {}
+    for (kind, k_hat), y in sorted(values.items()):
+        if kind in curve_kinds:
+            series.setdefault(kind, []).append((k_hat, y))
+        else:
+            hlines[kind] = y
+    return {"title": title, "series": series, "hlines": hlines}
 
 
 def render_curve_panels(panels, xlabel: str, ylabel: str) -> str:

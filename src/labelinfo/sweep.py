@@ -19,18 +19,18 @@ import numpy as np
 
 from . import costbenefit, triplets
 from .costbenefit import TradeoffConfig, UtilityKind
-from .gnmds import SolverConfig, solve
-from .labels import (LabelKind, LabelSet, hard_labels, pca_encode, smooth_labels,
-                     soft_labels, sparsify_labels, topclass_labels,
+from .gnmds import SolverConfig, check_count, solve
+from .labels import (PARTIAL_KINDS, LabelKind, LabelSet, hard_labels, pca_encode,
+                     smooth_labels, soft_labels, sparsify_labels, topclass_labels,
                      typicality_labels)
 from .latentgen import LatentDataset, generate_dataset, similarity_matrix
 from .metrics import PcaCurve, effective_dimensionality, recovery_score
+from .render import rows_to_csv
 
-SWEEP_COLUMNS = ("n", "k", "d", "kind", "k_hat", "epsilon", "seed",
-                 "constraint_count", "information_ratio", "rho",
-                 "satisfied_fraction", "c_hat", "loss", "iterations",
-                 "stop_reason", "final_objective", "status")
-_TIMING_COLUMNS = ("n", "k", "d", "kind", "k_hat", "epsilon", "seed", "wall_time")
+CELL_COLUMNS = ("n", "k", "d", "kind", "k_hat", "epsilon", "seed")  # name a cell
+SWEEP_COLUMNS = CELL_COLUMNS + (
+    "constraint_count", "information_ratio", "rho", "satisfied_fraction", "c_hat",
+    "loss", "iterations", "stop_reason", "final_objective", "status")
 
 _DEFAULT_SMOOTHING = 0.05
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -63,9 +63,8 @@ class SignalSpec:
 
     def __post_init__(self):
         """A field the kind ignores would still name the row and seed its noise."""
-        if self.kind in (LabelKind.SPARSE_SOFT, LabelKind.TOP_CLASS, LabelKind.PCA_COORDS):
-            if self.k_hat is None or self.k_hat < 1:
-                raise ValueError(f"signal {self.kind.value} requires k_hat >= 1")
+        if self.kind in PARTIAL_KINDS:
+            check_count(f"signal {self.kind.value} k_hat", self.k_hat, 1)
         elif self.k_hat is not None:
             raise ValueError(f"signal {self.kind.value} takes no k_hat")
         if self.param is not None and self.kind not in (LabelKind.SMOOTHED,
@@ -105,12 +104,13 @@ class SweepSpec:
             object.__setattr__(self, name, tuple(getattr(self, name)))
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        for name, low in (("n_grid", 1), ("k_grid", 2), ("d_grid", 1)):
+            for value in getattr(self, name):
+                check_count(f"{name} value", value, low)
+        check_count("reps", self.reps, 1)
+        check_count("base_seed", self.base_seed, 0, 2**64 - 1)
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if min(self.n_grid) + min(self.k_grid) < 3:
-            raise ValueError("every (n, k) cell needs n + k >= 3")
         if any(not 0 <= e <= 1 for e in self.epsilon_grid):
             raise ValueError("flip rates must lie in [0, 1]")
 
@@ -144,15 +144,9 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
         reject_unknown_keys(data, _field_names(cls), "sweep config")
-        kwargs = {}
-        for name in ("n_grid", "k_grid", "d_grid", "epsilon_grid"):
-            if name in data:
-                kwargs[name] = tuple(data[name])
+        kwargs = dict(data)
         if "signals" in data:
-            kwargs["signals"] = tuple(SignalSpec.from_dict(s) for s in data["signals"])
-        for name in ("reps", "sigma", "base_seed"):
-            if name in data:
-                kwargs[name] = data[name]
+            kwargs["signals"] = [SignalSpec.from_dict(s) for s in data["signals"]]
         if "solver" in data:
             kwargs["solver"] = SolverConfig(**data["solver"])
         if "tradeoff" in data:
@@ -236,17 +230,13 @@ def evaluate_cell(spec: SweepSpec, cell, table: dict | None = None) -> tuple[dic
         gram = solve(constraints, spec.solver, table)
         truth = similarity_matrix(dataset.all_items())
         rho = recovery_score(gram, truth)
-        c_hat = costbenefit.cost(signal.kind, n, k, k_hat_eff)
-        option = costbenefit.SignalOption(
-            kind=signal.kind, k_hat=k_hat_eff if k_hat_eff is not None else
-            (k if signal.kind is LabelKind.SOFT else 1),
-            rho=rho, cost_units=c_hat)
+        option = costbenefit.signal_option(signal.kind, n, k, k_hat_eff, rho)
         row.update({
             "constraint_count": len(constraints),
             "information_ratio": triplets.information_ratio(len(constraints), n, k),
             "rho": rho,
             "satisfied_fraction": gram.diagnostics["satisfied_fraction"],
-            "c_hat": c_hat,
+            "c_hat": option.cost_units,
             "loss": costbenefit.loss(option, spec.tradeoff),
             "iterations": gram.diagnostics["iterations"],
             "stop_reason": gram.diagnostics["stop_reason"],
@@ -312,18 +302,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1):
     return rows, times
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):  # includes numpy scalars, whose repr differs
-        return repr(float(value))
-    return str(value)
-
-
-def rows_to_csv(rows, columns=SWEEP_COLUMNS) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_format_value(row[c]) for c in columns) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def rows_from_csv(text: str):
     lines = [ln for ln in text.splitlines() if ln]
     columns = lines[0].split(",")
@@ -336,36 +314,22 @@ def rows_from_csv(text: str):
 
 def timings_to_csv(rows, times) -> str:
     return rows_to_csv([{**row, "wall_time": t} for row, t in zip(rows, times)],
-                       _TIMING_COLUMNS)
+                       CELL_COLUMNS + ("wall_time",))
 
 
-def pca_recovery_curve(dataset: LatentDataset, k_hats,
-                       solver: SolverConfig = SolverConfig()) -> PcaCurve:
-    """Recovery rho as a function of retained principal components."""
-    truth = similarity_matrix(dataset.all_items())
-    cap = _pca_width(dataset)
-    usable = sorted({min(int(kh), cap) for kh in k_hats})
-    points = []
-    for k_hat in usable:
-        encoded = pca_encode(dataset, k_hat)
-        constraints = triplets.mine_from_coordinates(encoded, dataset.n)
-        gram = solve(constraints, solver)
-        points.append((k_hat, recovery_score(gram, truth)))
-    return PcaCurve(tuple(points))
+def effective_dim_for_dataset(dataset: LatentDataset):
+    """Fewest retained principal components matching this dataset's soft-label recovery.
 
-
-def effective_dim_for_dataset(dataset: LatentDataset,
-                              solver: SolverConfig = SolverConfig(),
-                              k_hats=None):
-    """Minimum retained-PC count matching the soft-label recovery of this dataset.
-
+    The PCA curve covers k_hat = 1..min(d, n + k), each point the recovery
+    of coordinate labels with that many components.
     Returns (k_hat, saturated, rho_soft, curve).
     """
-    soft = soft_labels(dataset)
-    gram = solve(triplets.mine_from_soft(soft), solver)
-    rho_soft = recovery_score(gram, similarity_matrix(dataset.all_items()))
-    if k_hats is None:
-        k_hats = range(1, _pca_width(dataset) + 1)
-    curve = pca_recovery_curve(dataset, k_hats, solver)
+    truth = similarity_matrix(dataset.all_items())
+    rho_soft = recovery_score(solve(triplets.mine_from_soft(soft_labels(dataset))), truth)
+    points = []
+    for k_hat in range(1, _pca_width(dataset) + 1):
+        constraints = triplets.mine_from_coordinates(pca_encode(dataset, k_hat), dataset.n)
+        points.append((k_hat, recovery_score(solve(constraints), truth)))
+    curve = PcaCurve(tuple(points))
     k_hat, saturated = effective_dimensionality(rho_soft, curve)
     return k_hat, saturated, rho_soft, curve

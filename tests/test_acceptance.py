@@ -30,9 +30,10 @@ from labelinfo.gnmds import solve
 from labelinfo.labels import LabelKind, hard_labels, soft_labels
 from labelinfo.latentgen import generate_dataset, similarity_matrix
 from labelinfo.metrics import effective_dimensionality, recovery_score
-from labelinfo.sweep import (SignalSpec, SweepSpec, build_labels, derive_seed,
-                             effective_dim_for_dataset, mine_constraints,
-                             run_sweep, rows_to_csv)
+from labelinfo.render import rows_to_csv
+from labelinfo.sweep import (SWEEP_COLUMNS, SignalSpec, SweepSpec, build_labels,
+                             derive_seed, effective_dim_for_dataset, mine_constraints,
+                             run_sweep)
 from labelinfo.triplets import (ConstraintSet, count_hard, count_soft,
                                 information_ratio, mine_from_hard,
                                 mine_from_soft)
@@ -438,8 +439,8 @@ def test_criterion_09_deterministic_replay():
     rows_serial, _ = run_sweep(spec, workers=1)
     rows_pool, _ = run_sweep(spec, workers=8)
     elapsed = time.perf_counter() - t0
-    csv_serial = rows_to_csv(rows_serial)
-    csv_pool = rows_to_csv(rows_pool)
+    csv_serial = rows_to_csv(rows_serial, SWEEP_COLUMNS)
+    csv_pool = rows_to_csv(rows_pool, SWEEP_COLUMNS)
     identical = csv_serial.encode() == csv_pool.encode()
     row_count = len(rows_serial) == len(list(spec.cells())) == 48
     budget = 2 * _ELAPSED.get("fewshot", 300.0)

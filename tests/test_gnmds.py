@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from labelinfo import gnmds
 from labelinfo.gnmds import (_GROW, _MIN_STEP, _WINDOW, GramMatrix, SolverConfig,
                              _double_center, _hinge_subgradient, extract_embedding,
-                             gram_to_csv, project_psd, solve)
+                             project_psd, solve)
 from labelinfo.labels import hard_labels, pca_encode, soft_labels
 from labelinfo.latentgen import generate_dataset
+from labelinfo.render import matrix_to_csv
 from labelinfo.sweep import derive_seed
 from labelinfo.triplets import (ConstraintSet, apply_noise,
                                 mine_from_coordinates, mine_from_hard, mine_from_soft)
@@ -335,7 +336,7 @@ def test_embedding_respects_solved_constraints():
 def test_gram_csv_round_trip():
     ds = generate_dataset(n=4, k=2, d=2, seed=3)
     gram = solve(mine_from_soft(soft_labels(ds)), SolverConfig())
-    back = np.loadtxt(io.StringIO(gram_to_csv(gram)), delimiter=",")
+    back = np.loadtxt(io.StringIO(matrix_to_csv(gram.entries)), delimiter=",")
     assert np.array_equal(back, gram.entries)
 
 

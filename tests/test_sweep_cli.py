@@ -8,17 +8,18 @@ import numpy as np
 import pytest
 
 import labelinfo
-from labelinfo import gnmds, sweep
+from labelinfo import cli, gnmds, sweep
 from labelinfo.cli import main
 from labelinfo.gnmds import solve
 from labelinfo.labels import LabelKind, soft_labels
 from labelinfo.latentgen import generate_dataset, similarity_matrix
 from labelinfo.metrics import effective_dimensionality, recovery_score
-from labelinfo.render import pivot_rows, pivot_to_csv, render_curve_panels, render_heatmap
+from labelinfo.render import (curve_panel, pivot_rows, render_curve_panels, render_heatmap,
+                              rows_to_csv)
 from labelinfo.sweep import (SWEEP_COLUMNS, SignalSpec, SweepSpec, _single_threaded_blas,
                              build_labels, derive_seed, effective_dim_for_dataset,
-                             evaluate_cell, mine_constraints, rows_from_csv, rows_to_csv,
-                             run_sweep, timings_to_csv)
+                             evaluate_cell, mine_constraints, rows_from_csv, run_sweep,
+                             timings_to_csv)
 from labelinfo.triplets import constraints_to_csv, mine_from_soft
 
 TINY = SweepSpec(n_grid=(3,), k_grid=(4,), d_grid=(3,),
@@ -114,7 +115,7 @@ def test_evaluate_cell_failure_is_status_not_exception():
 def test_run_sweep_serial_matches_parallel():
     rows1, _ = run_sweep(TINY, workers=1)
     rows2, _ = run_sweep(TINY, workers=2)
-    assert rows_to_csv(rows1) == rows_to_csv(rows2)
+    assert rows_to_csv(rows1, SWEEP_COLUMNS) == rows_to_csv(rows2, SWEEP_COLUMNS)
 
 
 # At d = 3 and d = 5, PCA k_hat = 10 mines the same set as k_hat = 5, and the
@@ -141,7 +142,7 @@ def _distinct_sets(spec):
 def test_run_sweep_rows_equal_cells_solved_alone(workers):
     alone = [evaluate_cell(REPEATS, cell)[0] for cell in REPEATS.cells()]
     rows, _ = run_sweep(REPEATS, workers=workers)
-    assert rows_to_csv(rows) == rows_to_csv(alone)
+    assert rows_to_csv(rows, SWEEP_COLUMNS) == rows_to_csv(alone, SWEEP_COLUMNS)
     assert all(row["status"] == "ok" for row in rows)
 
 
@@ -159,7 +160,7 @@ def test_run_sweep_solves_each_distinct_set_once_per_call(monkeypatch):
     assert (len(outer), len(inner)) == (cells, distinct)
     second, _ = run_sweep(REPEATS)  # a second call starts from an empty table
     assert (len(outer), len(inner)) == (2 * cells, 2 * distinct)
-    assert rows_to_csv(first) == rows_to_csv(second)
+    assert rows_to_csv(first, SWEEP_COLUMNS) == rows_to_csv(second, SWEEP_COLUMNS)
 
 
 def test_evaluate_cell_records_domain_errors_and_raises_bugs(monkeypatch):
@@ -214,7 +215,7 @@ def test_single_threaded_blas_sets_only_unset_variables_and_restores(monkeypatch
 
 def test_rows_csv_round_trip():
     rows, times = run_sweep(TINY, workers=1)
-    text = rows_to_csv(rows)
+    text = rows_to_csv(rows, SWEEP_COLUMNS)
     assert text.splitlines()[0] == ",".join(SWEEP_COLUMNS) == (
         "n,k,d,kind,k_hat,epsilon,seed,constraint_count,information_ratio,rho,"
         "satisfied_fraction,c_hat,loss,iterations,stop_reason,final_objective,status")
@@ -271,7 +272,7 @@ def test_pivot_rows_mean_oracle():
     assert table[("soft", 5, 4)] == (0.1, 1)
     with pytest.raises(ValueError):
         pivot_rows(rows, metric="nope", facet="kind")
-    csv_text = pivot_to_csv(pivot)
+    _, csv_text = render_heatmap(rows, "rho", "kind")
     assert csv_text.splitlines()[0] == "facet,n,k,value,count"
 
 
@@ -297,6 +298,15 @@ def _write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def test_curve_panel_splits_partial_kinds_from_reference_lines():
+    values = {("pca", 3): 0.6, ("hard", ""): 0.1, ("sparse", 2): 0.4,
+              ("pca", 1): 0.2, ("soft", ""): 0.7, ("sparse", 1): 0.3}
+    panel = curve_panel("demo", values, ("sparse", "pca"))
+    assert panel == {"title": "demo",
+                     "series": {"pca": [(1, 0.2), (3, 0.6)], "sparse": [(1, 0.3), (2, 0.4)]},
+                     "hlines": {"hard": 0.1, "soft": 0.7}}
 
 
 def test_cli_defaults(capsys):
@@ -370,6 +380,15 @@ def test_cli_analyze(tmp_path):
     assert "workers" not in json.loads((out / "run_manifest.json").read_text())
 
 
+@pytest.mark.parametrize("grids", [{"n_grid": [3.5]}, {"n_grid": [True]}, {"k_grid": [4.0]}])
+def test_cli_analyze_rejects_counts_that_are_not_integers(tmp_path, capsys, grids):
+    cfg = _write_config(tmp_path, "a.json", {"n_grid": [3], "k_grid": [4], **grids})
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    assert "analyze grid value must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_embed(tmp_path):
     ds = generate_dataset(n=4, k=3, d=3, seed=2)
     cs = mine_from_soft(soft_labels(ds))
@@ -411,6 +430,51 @@ def test_cli_sparsity_then_tradeoff(tmp_path):
     preferred = [ln for ln in lines[1:] if ln.endswith(",1")]
     assert len(preferred) == 5
     assert (tr_out / "tradeoff.svg").exists()
+
+
+def test_cli_tradeoff_prices_each_option_as_its_sweep_rows(tmp_path):
+    # d = 3 caps PCA k_hat = 4 at 3 components, priced at 3 units
+    cfg = _write_config(tmp_path, "sp.json", {
+        "n": 4, "k": 4, "d": 3, "k_hat_grid": [1, 2, 4], "reps": 2,
+        "solver": {"max_iterations": 50}})
+    out = tmp_path / "sp"
+    assert main(["sparsity", "--config", cfg, "--out", str(out)]) == 0
+    rows = rows_from_csv((out / "sparsity.csv").read_text())
+    assert {(r["kind"], r["k_hat"]) for r in rows if r["kind"] == "pca"} == {
+        ("pca", "1"), ("pca", "2"), ("pca", "3")}
+    sweep_c_hat = {(r["kind"], r["k_hat"]): float(r["c_hat"]) for r in rows}
+    tr_cfg = _write_config(tmp_path, "tr.json", {
+        "sweep_csv": str(out / "sparsity.csv"), "n": 4, "k": 4, "d": 3,
+        "beta_grid": [0.0, 0.1]})
+    tr_out = tmp_path / "tr"
+    assert main(["tradeoff", "--config", tr_cfg, "--out", str(tr_out)]) == 0
+    table = rows_from_csv((tr_out / "tradeoff.csv").read_text())
+    assert len(table) == 2 * len(sweep_c_hat)
+    full_k_hat = {"hard": "1", "soft": "4"}  # a full signal has no k_hat in its rows
+    for row in table:
+        if row["kind"] in full_k_hat:
+            assert row["k_hat"] == full_k_hat[row["kind"]]
+            key = (row["kind"], "")
+        else:
+            key = (row["kind"], row["k_hat"])
+        assert float(row["c_hat"]) == sweep_c_hat[key]
+
+
+def test_cli_sparsity_draws_no_curves_when_every_partial_signal_fails(tmp_path, monkeypatch,
+                                                                        capsys):
+    def partial_fails(dataset, signal):
+        if signal.k_hat is not None:
+            raise ValueError("boom")
+        return build_labels(dataset, signal)
+
+    monkeypatch.setattr(sweep, "build_labels", partial_fails)
+    cfg = _write_config(tmp_path, "sp.json", {
+        "n": 3, "k": 3, "d": 3, "k_hat_grid": [1], "reps": 1,
+        "solver": {"max_iterations": 50}})
+    out = tmp_path / "sp"
+    assert main(["sparsity", "--config", cfg, "--out", str(out)]) == 1
+    assert "sparsity: 3/5 cells failed" in capsys.readouterr().err
+    assert (out / "sparsity.csv").exists() and not (out / "sparsity.svg").exists()
 
 
 def test_cli_usage_errors(tmp_path):
@@ -515,9 +579,57 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
         assert not command_out.exists()
 
 
+@pytest.mark.parametrize("key", ["n", "k", "d"])
+def test_cli_tradeoff_non_integer_cell_is_usage_error(tmp_path, capsys, key):
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_text(rows_to_csv([], SWEEP_COLUMNS))
+    cfg = _write_config(tmp_path, "t.json", {
+        "sweep_csv": str(sweep_csv), "n": 3, "k": 4, "d": 3, key: "abc"})
+    out = tmp_path / "tr"
+    assert main(["tradeoff", "--config", cfg, "--out", str(out)]) == 2
+    assert "bad tradeoff config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rank", ["abc", "3", 2.5, True, 0, 8, 50])
+def test_cli_embed_rejects_a_bad_rank_before_solving(tmp_path, monkeypatch, capsys, rank):
+    constraints_path = tmp_path / "constraints.csv"
+    constraints_path.write_text(constraints_to_csv(
+        mine_from_soft(soft_labels(generate_dataset(n=4, k=3, d=3, seed=2)))))
+    cfg = _write_config(tmp_path, "embed.json", {
+        "constraints_csv": str(constraints_path), "embedding_rank": rank})
+    monkeypatch.setattr(cli, "solve", lambda *_: pytest.fail("solved before the check"))
+    out = tmp_path / "out"
+    assert main(["embed", "--config", cfg, "--out", str(out)]) == 2
+    assert "embedding_rank must be an integer in [1, 7]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep_config, sparsity_config", [
+    ({"reps": 1.5}, {"reps": 1.5}),
+    ({"n_grid": [3.5]}, {"n": 3.5}),
+    ({"d_grid": [2.5]}, {"d": 2.5}),
+    ({"solver": {"max_iterations": 2.5}}, {"solver": {"max_iterations": 2.5}}),
+    ({"n_grid": [True]}, {"n": True}),
+    ({"base_seed": -1}, {"base_seed": -1}),
+    ({"base_seed": 2**64}, {"base_seed": 2**64}),
+    ({"signals": [{"kind": "sparse", "k_hat": 2.5}]}, {"k_hat_grid": [2.5]}),
+], ids=["reps", "n", "d", "max_iterations", "bool_n", "negative_seed", "huge_seed", "k_hat"])
+def test_cli_sweeps_reject_counts_that_are_not_integers(tmp_path, capsys, sweep_config,
+                                                         sparsity_config):
+    with pytest.raises(ValueError, match="must be an integer"):
+        SweepSpec.from_dict(sweep_config)
+    for command, config in (("simulate", sweep_config), ("sparsity", sparsity_config)):
+        cfg = _write_config(tmp_path, f"{command}.json", config)
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_tradeoff_negative_beta_is_usage_error(tmp_path, capsys):
     sweep_csv = tmp_path / "sweep.csv"
-    sweep_csv.write_text(rows_to_csv([]))
+    sweep_csv.write_text(rows_to_csv([], SWEEP_COLUMNS))
     cfg = _write_config(tmp_path, "t.json", {
         "sweep_csv": str(sweep_csv), "n": 3, "k": 4, "d": 3,
         "beta_grid": [-0.1, 0.1]})
