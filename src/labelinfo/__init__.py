@@ -9,9 +9,8 @@ from .latentgen import (LatentDataset, SimilarityMatrix, generate_dataset,
 from .labels import (LabelKind, LabelSet, hard_labels, soft_labels,
                      smooth_labels, typicality_labels, sparsify_labels,
                      topclass_labels, pca_encode)
-from .triplets import (ConstraintSet, mine_from_hard, mine_from_soft,
-                       mine_from_coordinates, count_hard, count_soft,
-                       information_ratio, apply_noise)
+from .triplets import (ConstraintSet, mine_from_labels, mine_from_coordinates,
+                       count_hard, count_soft, information_ratio, apply_noise)
 from .gnmds import GramMatrix, SolverConfig, solve, project_psd, extract_embedding
 from .metrics import PcaCurve, spearman, recovery_score, effective_dimensionality
 from .costbenefit import (SignalOption, TradeoffConfig, UtilityKind, cost,
@@ -22,7 +21,7 @@ __all__ = [
     "LatentDataset", "SimilarityMatrix", "generate_dataset", "similarity_matrix",
     "LabelKind", "LabelSet", "hard_labels", "soft_labels", "smooth_labels",
     "typicality_labels", "sparsify_labels", "topclass_labels", "pca_encode",
-    "ConstraintSet", "mine_from_hard", "mine_from_soft", "mine_from_coordinates",
+    "ConstraintSet", "mine_from_labels", "mine_from_coordinates",
     "count_hard", "count_soft", "information_ratio", "apply_noise",
     "GramMatrix", "SolverConfig", "solve", "project_psd", "extract_embedding",
     "PcaCurve", "spearman", "recovery_score", "effective_dimensionality",

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 any cell failure (per-cell status still written),
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -27,18 +28,26 @@ class UsageError(Exception):
     pass
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str | None, what: str, known, required=()) -> dict:
+    """The JSON object at `path` ({} without one); an unknown or missing key is a usage error."""
+    data = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read config: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise UsageError("config must be a JSON object")
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError("config must be a JSON object")
+        sweep.reject_unknown_keys(data, known, what)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise UsageError(f"{what} needs '{missing[0]}'")
     return data
 
 
@@ -57,20 +66,23 @@ def _write_manifest(outdir: Path, command: str, spec_dict: dict,
     (outdir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _sweep_spec(args, what: str, to_sweep_config=dict) -> sweep.SweepSpec:
+def _sweep_spec(args, what: str, known, to_sweep_config=dict) -> sweep.SweepSpec:
     """The command's config, turned into a sweep config; --seed replaces its base seed."""
+    config = _load_config(args.config, what, known)
     try:
-        spec = sweep.SweepSpec.from_dict(to_sweep_config(_load_config(args.config)))
+        spec = sweep.SweepSpec.from_dict(to_sweep_config(config))
         if args.seed is not None:
             spec = dataclasses.replace(spec, base_seed=args.seed)
         return spec
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad {what} config: {exc}") from exc
+        raise UsageError(f"bad {what}: {exc}") from exc
 
 
 def _run_sweep_command(args, command: str, spec: sweep.SweepSpec, rows_csv: str,
                        plots) -> int:
     """Run the sweep; write its rows, timings.csv, `plots(rows)` files and the manifest."""
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     outdir = _outdir(args)
     start = time.perf_counter()
     rows, times = sweep.run_sweep(spec, workers=args.workers)
@@ -90,27 +102,20 @@ def _run_sweep_command(args, command: str, spec: sweep.SweepSpec, rows_csv: str,
 
 def _rho_heatmap(rows) -> dict:
     try:
-        svg, pivot_csv = render.render_heatmap(rows, "rho", "kind")
+        svg, pivot_csv = render.render_heatmap(rows, "rho")
     except ValueError:
         return {}  # every cell failed; sweep.csv still carries the statuses
     return {"heatmap_rho_kind.svg": svg, "heatmap_rho_kind.csv": pivot_csv}
 
 
 def cmd_simulate(args) -> int:
-    return _run_sweep_command(args, "simulate", _sweep_spec(args, "sweep"), "sweep.csv",
-                              _rho_heatmap)
-
-
-def _check_keys(config: dict, known, what: str) -> None:
-    try:
-        sweep.reject_unknown_keys(config, known, what)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    known = [f.name for f in dataclasses.fields(sweep.SweepSpec)]
+    return _run_sweep_command(args, "simulate", _sweep_spec(args, "sweep config", known),
+                              "sweep.csv", _rho_heatmap)
 
 
 def cmd_analyze(args) -> int:
-    config = _load_config(args.config)
-    _check_keys(config, ("n_grid", "k_grid"), "analyze config")
+    config = _load_config(args.config, "analyze config", ("n_grid", "k_grid"))
     try:
         n_grid = tuple(config.get("n_grid", sweep.SweepSpec().n_grid))
         k_grid = tuple(config.get("k_grid", sweep.SweepSpec().k_grid))
@@ -133,7 +138,7 @@ def cmd_analyze(args) -> int:
     start = time.perf_counter()
     (outdir / "analysis.csv").write_text(
         render.rows_to_csv(rows, ("n", "k", "kind", "information_ratio")))
-    svg, pivot_csv = render.render_heatmap(rows, "information_ratio", "kind")
+    svg, pivot_csv = render.render_heatmap(rows, "information_ratio")
     (outdir / "heatmap_information_ratio_kind.svg").write_text(svg)
     (outdir / "heatmap_information_ratio_kind.csv").write_text(pivot_csv)
     _write_manifest(outdir, "analyze",
@@ -143,10 +148,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    config = _load_config(args.config)
-    _check_keys(config, ("constraints_csv", "solver", "embedding_rank"), "embed config")
-    if "constraints_csv" not in config:
-        raise UsageError("embed config needs a 'constraints_csv' path")
+    config = _load_config(args.config, "embed config",
+                          ("constraints_csv", "solver", "embedding_rank"), ("constraints_csv",))
     try:
         constraints = triplets.constraints_from_csv(
             Path(config["constraints_csv"]).read_text())
@@ -189,18 +192,18 @@ def _options_from_sweep_rows(rows, n: int, k: int, d: int):
 
 
 def cmd_tradeoff(args) -> int:
-    config = _load_config(args.config)
-    _check_keys(config, ("sweep_csv", "n", "k", "d", "beta_grid", "utility_kind"),
-                "tradeoff config")
-    for key in ("sweep_csv", "n", "k", "d"):
-        if key not in config:
-            raise UsageError(f"tradeoff config needs '{key}'")
+    required = ("sweep_csv", "n", "k", "d")
+    config = _load_config(args.config, "tradeoff config",
+                          required + ("beta_grid", "utility_kind"), required)
     try:
-        rows = sweep.rows_from_csv(Path(config["sweep_csv"]).read_text())
-    except OSError as exc:
+        with Path(config["sweep_csv"]).open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except (OSError, TypeError) as exc:
         raise UsageError(f"cannot read sweep CSV: {exc}") from exc
     try:
-        n, k, d = int(config["n"]), int(config["k"]), int(config["d"])
+        for key in ("n", "k", "d"):
+            check_count(f"tradeoff {key}", config[key], 1)
+        n, k, d = config["n"], config["k"], config["d"]
         utility_kind = UtilityKind(config.get("utility_kind", "linear"))
         beta_grid = [float(b) for b in
                      config.get("beta_grid", np.linspace(0.0, 0.5, 50))]
@@ -229,7 +232,7 @@ def cmd_tradeoff(args) -> int:
             panels.append(panel)
     (outdir / "tradeoff.csv").write_text(costbenefit.tradeoff_to_csv(table_rows))
     (outdir / "tradeoff.svg").write_text(
-        render.render_curve_panels(panels, xlabel="k_hat", ylabel="loss"))
+        render.render_curve_panels(panels, ylabel="loss"))
     _write_manifest(outdir, "tradeoff", {**config, "beta_grid": beta_grid},
                     time.perf_counter() - start)
     return 0
@@ -241,7 +244,6 @@ _SPARSITY_KEYS = ("n", "k", "d", "k_hat_grid", "reps", "sigma", "base_seed", "so
 def _sparsity_sweep_config(config: dict) -> dict:
     """A sparsity config as the sweep config of its one (n, k, d) cell: hard and
     soft labels, then each partial kind at every k_hat of the grid."""
-    sweep.reject_unknown_keys(config, _SPARSITY_KEYS, "sparsity config")
     n, k, d = config.get("n", 20), config.get("k", 20), config.get("d", 5)
     if "k_hat_grid" in config:
         k_hat_grid = sorted(set(config["k_hat_grid"]))
@@ -267,12 +269,11 @@ def _rho_curves(rows) -> dict:
                                _CURVE_KINDS)
     if not panel["series"]:
         return {}  # no partial signal has an ok row to draw
-    return {"sparsity.svg": render.render_curve_panels([panel], xlabel="k_hat",
-                                                       ylabel="rho")}
+    return {"sparsity.svg": render.render_curve_panels([panel], ylabel="rho")}
 
 
 def cmd_sparsity(args) -> int:
-    spec = _sweep_spec(args, "sparsity", _sparsity_sweep_config)
+    spec = _sweep_spec(args, "sparsity config", _SPARSITY_KEYS, _sparsity_sweep_config)
     return _run_sweep_command(args, "sparsity", spec, "sparsity.csv", _rho_curves)
 
 

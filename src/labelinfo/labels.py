@@ -9,7 +9,7 @@ PCA coordinate encoding).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,10 +30,8 @@ class LabelKind(enum.Enum):
 # Kinds that keep k_hat components per point, in the order sparsity sweeps run them.
 PARTIAL_KINDS = (LabelKind.SPARSE_SOFT, LabelKind.TOP_CLASS, LabelKind.PCA_COORDS)
 
-# Kinds minable with the soft-label comparison rules.
-SOFT_MINEABLE_KINDS = frozenset(
-    {LabelKind.SOFT, LabelKind.SMOOTHED, LabelKind.TYPICALITY,
-     LabelKind.SPARSE_SOFT, LabelKind.TOP_CLASS})
+# Equal-frequency bins per marginal in the top-class mutual-information estimate.
+_MI_BINS = 8
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,6 @@ class LabelSet:
     kind: LabelKind
     values: np.ndarray  # (n, k); for PCA_COORDS: (n_items, k_hat), may be negative
     k_hat: Optional[int] = None
-    retained_columns: Optional[tuple[int, ...]] = None  # TOP_CLASS only
 
 
 def _point_centroid_distances(dataset: LatentDataset) -> np.ndarray:
@@ -69,16 +66,11 @@ def soft_labels(dataset: LatentDataset) -> LabelSet:
 
 
 def smooth_labels(hard: LabelSet, epsilon: float) -> LabelSet:
-    """Image-independent smoothing: 1-eps on the true class, eps/(k-1) on each other."""
-    if hard.kind is not LabelKind.HARD:
-        raise TypeError(f"smooth_labels requires hard labels, got {hard.kind.value}")
+    """Image-independent smoothing: the typicality labels of a constant score 1-eps."""
     if not 0 <= epsilon < 1:
         raise ValueError(f"smoothing rate must lie in [0, 1), got {epsilon}")
-    n, k = hard.values.shape
-    true_class = np.argmax(hard.values, axis=1)
-    values = np.full((n, k), epsilon / (k - 1))
-    values[np.arange(n), true_class] = 1.0 - epsilon
-    return LabelSet(kind=LabelKind.SMOOTHED, values=values)
+    typical = typicality_labels(hard, np.full(hard.values.shape[0], 1.0 - epsilon))
+    return replace(typical, kind=LabelKind.SMOOTHED)
 
 
 def typicality_labels(hard: LabelSet, typicality: Sequence[float]) -> LabelSet:
@@ -118,12 +110,11 @@ def sparsify_labels(soft: LabelSet, k_hat: int) -> LabelSet:
     return LabelSet(kind=LabelKind.SPARSE_SOFT, values=values, k_hat=k_hat)
 
 
-def _columns_mutual_information(values: np.ndarray, reference: SimilarityMatrix,
-                                bins: int) -> np.ndarray:
+def _columns_mutual_information(values: np.ndarray, reference: SimilarityMatrix) -> np.ndarray:
     """Plug-in mutual information (bits) between each label column and similarity structure.
 
     For each column, forms the paired sample (|col_a - col_b|, sim_ab) over
-    all point pairs, discretizes each marginal into `bins` equal-frequency
+    all point pairs, discretizes each marginal into `_MI_BINS` equal-frequency
     bins (the reference is binned once) and returns the mutual information
     of the joint histogram. Non-negative by construction; exactly 0 for a
     constant column.
@@ -133,14 +124,13 @@ def _columns_mutual_information(values: np.ndarray, reference: SimilarityMatrix,
         raise ValueError(f"need at least 3 points to estimate column information, got {n}")
     if reference.size != n:
         raise ValueError(f"reference covers {reference.size} points, column has {n}")
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
+    bins = _MI_BINS
     iu = np.triu_indices(n, 1)
-    y = _equal_frequency_codes(reference.values, bins)
+    y = _equal_frequency_codes(reference.values)
     mi = np.empty(k)
     for j in range(k):
         col = values[:, j]
-        x = _equal_frequency_codes(np.abs(col[iu[0]] - col[iu[1]]), bins)
+        x = _equal_frequency_codes(np.abs(col[iu[0]] - col[iu[1]]))
         counts = np.bincount(x * bins + y, minlength=bins * bins)
         joint = counts.reshape(bins, bins) / counts.sum()
         px = joint.sum(axis=1)
@@ -150,14 +140,13 @@ def _columns_mutual_information(values: np.ndarray, reference: SimilarityMatrix,
     return mi
 
 
-def _equal_frequency_codes(x: np.ndarray, bins: int) -> np.ndarray:
-    """Quantile-based bin codes in [0, bins); ties collapse into shared bins."""
-    edges = np.quantile(x, np.linspace(0.0, 1.0, bins + 1)[1:-1])
+def _equal_frequency_codes(x: np.ndarray) -> np.ndarray:
+    """Quantile-based bin codes in [0, _MI_BINS); ties collapse into shared bins."""
+    edges = np.quantile(x, np.linspace(0.0, 1.0, _MI_BINS + 1)[1:-1])
     return np.searchsorted(edges, x, side="right")
 
 
-def topclass_labels(soft: LabelSet, k_hat: int, reference: SimilarityMatrix,
-                    bins: int = 8) -> LabelSet:
+def topclass_labels(soft: LabelSet, k_hat: int, reference: SimilarityMatrix) -> LabelSet:
     """Zero out all but the k_hat columns most informative about the similarity structure.
 
     Column informativeness is the plug-in mutual information between the
@@ -171,13 +160,11 @@ def topclass_labels(soft: LabelSet, k_hat: int, reference: SimilarityMatrix,
         raise ValueError(f"k_hat must lie in [1, {k}], got {k_hat}")
     if reference.size != n:
         raise ValueError(f"reference covers {reference.size} points, labels have {n}")
-    mi = _columns_mutual_information(soft.values, reference, bins)
-    order = np.argsort(-mi, kind="stable")
-    retained = tuple(sorted(int(j) for j in order[:k_hat]))
+    retained = np.argsort(-_columns_mutual_information(soft.values, reference),
+                          kind="stable")[:k_hat]
     values = np.zeros_like(soft.values)
     values[:, retained] = soft.values[:, retained]
-    return LabelSet(kind=LabelKind.TOP_CLASS, values=values, k_hat=k_hat,
-                    retained_columns=retained)
+    return LabelSet(kind=LabelKind.TOP_CLASS, values=values, k_hat=k_hat)
 
 
 def pca_encode(dataset: LatentDataset, k_hat: int) -> LabelSet:

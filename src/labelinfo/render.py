@@ -62,29 +62,30 @@ def mean_by(rows, key, metric: str) -> dict:
 _PIVOT_COLUMNS = ("facet", "n", "k", "value", "count")
 
 
-def pivot_rows(rows, metric: str, facet: str):
-    """Mean of `metric` per (facet, n, k) over rows with ok status.
+def pivot_rows(rows, metric: str):
+    """Mean of `metric` per (kind, n, k) over rows with ok status.
 
-    Returns a list of dicts {facet, n, k, value, count} sorted by
-    (facet, n, k); rows whose metric is empty or errored are dropped.
+    Returns a list of dicts {facet, n, k, value, count}, the facet being the
+    kind, sorted by (kind, n, k); rows whose metric is empty or errored are
+    dropped.
     """
     if not rows:
         raise ValueError("no rows to pivot")
-    for column in (metric, facet, "n", "k"):
+    for column in (metric, "kind", "n", "k"):
         if column not in rows[0]:
             raise ValueError(f"unknown column {column!r}")
-    means = mean_by(rows, lambda row: (str(row[facet]), int(row["n"]), int(row["k"])), metric)
+    means = mean_by(rows, lambda row: (str(row["kind"]), int(row["n"]), int(row["k"])), metric)
     return [dict(zip(_PIVOT_COLUMNS, (*key, value, count)))
             for key, (value, count) in means.items()]
 
 
-def render_heatmap(rows, metric: str, facet: str) -> tuple[str, str]:
-    """One n-by-k heatmap panel per facet value; returns (svg, pivot_csv).
+def render_heatmap(rows, metric: str) -> tuple[str, str]:
+    """One n-by-k heatmap panel per kind; returns (svg, pivot_csv).
 
     Cells show the rep-averaged metric; the color scale is linear and
     shared across panels, with its min/max printed in the footer.
     """
-    pivot = pivot_rows(rows, metric, facet)
+    pivot = pivot_rows(rows, metric)
     if not pivot:
         raise ValueError(f"no usable values for metric {metric!r}")
     facets = sorted({p["facet"] for p in pivot})
@@ -106,7 +107,7 @@ def render_heatmap(rows, metric: str, facet: str) -> tuple[str, str]:
              '<rect width="100%" height="100%" fill="#ffffff"/>']
     for pi, fval in enumerate(facets):
         x0 = left + pi * (panel_w + gap)
-        parts.append(_text(x0 + panel_w / 2, top - 24, f"{facet} = {fval}", size=13))
+        parts.append(_text(x0 + panel_w / 2, top - 24, f"kind = {fval}", size=13))
         for ci, k in enumerate(ks):
             parts.append(_text(x0 + ci * _CELL_W + _CELL_W / 2, top - 8, k, size=10))
         for ri, n in enumerate(ns):
@@ -138,7 +139,7 @@ def render_heatmap(rows, metric: str, facet: str) -> tuple[str, str]:
     return svg, rows_to_csv(pivot, _PIVOT_COLUMNS)
 
 
-def _panel_curves(parts, x0, y0, w, h, series, hlines, title, xlabel, ylabel):
+def _panel_curves(parts, x0, y0, w, h, series, hlines, title, ylabel):
     """Draw one axes panel with line series and horizontal reference lines."""
     xs = sorted({x for pts in series.values() for x, _ in pts})
     all_y = [y for pts in series.values() for _, y in pts] + list(hlines.values())
@@ -159,7 +160,7 @@ def _panel_curves(parts, x0, y0, w, h, series, hlines, title, xlabel, ylabel):
     parts.append(f'<rect x="{x0}" y="{y0}" width="{w}" height="{h}" '
                  f'fill="none" stroke="#808080"/>')
     parts.append(_text(x0 + w / 2, y0 - 8, title, size=12))
-    parts.append(_text(x0 + w / 2, y0 + h + 30, xlabel, size=11))
+    parts.append(_text(x0 + w / 2, y0 + h + 30, "k_hat", size=11))
     parts.append(_text(x0 - 44, y0 + h / 2, ylabel, size=11))
     parts.append(_text(x0 - 6, py(ymin) + 4, f"{ymin:.3g}", size=9, anchor="end"))
     parts.append(_text(x0 - 6, py(ymax) + 4, f"{ymax:.3g}", size=9, anchor="end"))
@@ -202,8 +203,8 @@ def curve_panel(title: str, values: dict, curve_kinds) -> dict:
     return {"title": title, "series": series, "hlines": hlines}
 
 
-def render_curve_panels(panels, xlabel: str, ylabel: str) -> str:
-    """Row of line-plot panels.
+def render_curve_panels(panels, ylabel: str) -> str:
+    """Row of line-plot panels over k_hat.
 
     `panels` is a list of dicts {title, series: {name: [(x, y), ...]},
     hlines: {name: y}, marker: optional (x, y, label)}.
@@ -220,8 +221,7 @@ def render_curve_panels(panels, xlabel: str, ylabel: str) -> str:
     for i, panel in enumerate(panels):
         x0 = left + i * (w + gap)
         px, py = _panel_curves(parts, x0, top, w, h, panel["series"],
-                               panel.get("hlines", {}), panel["title"],
-                               xlabel, ylabel)
+                               panel.get("hlines", {}), panel["title"], ylabel)
         marker = panel.get("marker")
         if marker is not None:
             mx, my, label = marker

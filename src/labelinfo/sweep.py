@@ -9,6 +9,7 @@ result rows to keep the emitted sweep CSV byte-reproducible.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import os
 import time
 from contextlib import contextmanager
@@ -33,6 +34,9 @@ SWEEP_COLUMNS = CELL_COLUMNS + (
     "loss", "iterations", "stop_reason", "final_objective", "status")
 
 _DEFAULT_SMOOTHING = 0.05
+# The range each kind's `param` must lie in, as text and as a test.
+_PARAM_RANGES = {LabelKind.SMOOTHED: ("[0, 1)", lambda p: 0 <= p < 1),
+                 LabelKind.TYPICALITY: ("(0, 1]", lambda p: 0 < p <= 1)}
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -67,9 +71,15 @@ class SignalSpec:
             check_count(f"signal {self.kind.value} k_hat", self.k_hat, 1)
         elif self.k_hat is not None:
             raise ValueError(f"signal {self.kind.value} takes no k_hat")
-        if self.param is not None and self.kind not in (LabelKind.SMOOTHED,
-                                                        LabelKind.TYPICALITY):
+        if self.param is None:
+            return
+        if self.kind not in _PARAM_RANGES:
             raise ValueError(f"signal {self.kind.value} takes no param")
+        bounds, holds = _PARAM_RANGES[self.kind]
+        if (isinstance(self.param, bool) or not isinstance(self.param, numbers.Real)
+                or not holds(self.param)):
+            raise ValueError(f"signal {self.kind.value} param must be a number in {bounds}, "
+                             f"got {self.param!r}")
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind.value}
@@ -188,11 +198,9 @@ def build_labels(dataset: LatentDataset, signal: SignalSpec) -> LabelSet:
 
 
 def mine_constraints(labels: LabelSet, n_points: int) -> triplets.ConstraintSet:
-    if labels.kind is LabelKind.HARD:
-        return triplets.mine_from_hard(labels)
     if labels.kind is LabelKind.PCA_COORDS:
         return triplets.mine_from_coordinates(labels, n_points)
-    return triplets.mine_from_soft(labels)
+    return triplets.mine_from_labels(labels)
 
 
 def _pca_width(dataset: LatentDataset) -> int:
@@ -288,28 +296,20 @@ def run_sweep(spec: SweepSpec, workers: int = 1):
     when `workers` > 1); a later cell that mines the same set reuses that
     Gram matrix and scores it against its own dataset.
     """
+    check_count("workers", workers, 1)
     cells = list(spec.cells())
-    if workers <= 1:
+    processes = min(workers, len(cells))
+    if processes == 1:
         table: dict = {}
         results = [evaluate_cell(spec, cell, table) for cell in cells]
     else:
         jobs = [(spec, cell) for cell in cells]
         with _single_threaded_blas(), get_context("spawn").Pool(
-                processes=workers, initializer=_init_worker) as pool:
+                processes=processes, initializer=_init_worker) as pool:
             results = pool.map(_worker, jobs)  # map preserves submission order
     rows = [row for row, _ in results]
     times = [t for _, t in results]
     return rows, times
-
-
-def rows_from_csv(text: str):
-    lines = [ln for ln in text.splitlines() if ln]
-    columns = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",", len(columns) - 1)
-        rows.append(dict(zip(columns, parts)))
-    return rows
 
 
 def timings_to_csv(rows, times) -> str:
@@ -325,7 +325,7 @@ def effective_dim_for_dataset(dataset: LatentDataset):
     Returns (k_hat, saturated, rho_soft, curve).
     """
     truth = similarity_matrix(dataset.all_items())
-    rho_soft = recovery_score(solve(triplets.mine_from_soft(soft_labels(dataset))), truth)
+    rho_soft = recovery_score(solve(triplets.mine_from_labels(soft_labels(dataset))), truth)
     points = []
     for k_hat in range(1, _pca_width(dataset) + 1):
         constraints = triplets.mine_from_coordinates(pca_encode(dataset, k_hat), dataset.n)

@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .labels import LabelKind, LabelSet, SOFT_MINEABLE_KINDS
+from .labels import LabelKind, LabelSet
 
 _EMPTY = np.empty((0, 3), dtype=np.int64)
 
@@ -51,8 +51,20 @@ def _nearer(scores: np.ndarray) -> np.ndarray:
     return scores[:, :, None] > scores[:, None, :]
 
 
-def _mine_rows(values: np.ndarray, kind: str) -> ConstraintSet:
-    """Point anchors from row comparisons, then centroid anchors from column comparisons."""
+def mine_from_labels(labels: LabelSet) -> ConstraintSet:
+    """All constraints implied by strict value comparisons in an n-by-k label matrix.
+
+    Point-anchored: within each row, a class with strictly larger mass is
+    nearer than one with smaller mass. Centroid-anchored: for each class
+    column, any point with strictly larger mass is nearer to that centroid
+    than any point with smaller mass. Ties (including zero-vs-zero ties
+    created by sparsification) emit nothing, so a hard label's one-hot row
+    answers only the queries its class decides.
+    """
+    if labels.kind is LabelKind.PCA_COORDS:
+        raise TypeError("mine_from_labels takes class labels; "
+                        "mine coordinates with mine_from_coordinates")
+    values = labels.values
     n, k = values.shape
     rows, cols = _nearer(values), _nearer(values.T)
     split = np.count_nonzero(rows)
@@ -64,36 +76,8 @@ def _mine_rows(values: np.ndarray, kind: str) -> ConstraintSet:
     triplets[:split, 1] += n
     triplets[:split, 2] += n
     triplets[split:, 0] += n
-    return ConstraintSet(n_points=n, n_centroids=k, triplets=triplets, source_kind=kind)
-
-
-def mine_from_hard(labels: LabelSet) -> ConstraintSet:
-    """All constraints implied by one-hot labels.
-
-    Centroid-anchored: each class centroid is closer to every point labeled
-    with that class than to every point labeled otherwise. Point-anchored:
-    each point is closer to its labeled centroid than to every other
-    centroid. These are the soft-label rules applied to the one-hot rows.
-    """
-    if labels.kind is not LabelKind.HARD:
-        raise TypeError(f"mine_from_hard requires hard labels, got {labels.kind.value}")
-    classes = np.argmax(labels.values, axis=1)
-    one_hot = classes[:, None] == np.arange(labels.values.shape[1])
-    return _mine_rows(one_hot, labels.kind.value)
-
-
-def mine_from_soft(labels: LabelSet) -> ConstraintSet:
-    """All constraints implied by strict value comparisons in a soft-type label matrix.
-
-    Centroid-anchored: for each class column, any point with strictly larger
-    mass is nearer to that centroid than any point with smaller mass.
-    Point-anchored: within each row, a class with strictly larger mass is
-    nearer than one with smaller mass. Ties (including zero-vs-zero ties
-    created by sparsification) emit nothing.
-    """
-    if labels.kind not in SOFT_MINEABLE_KINDS:
-        raise TypeError(f"mine_from_soft requires a soft label variant, got {labels.kind.value}")
-    return _mine_rows(labels.values, labels.kind.value)
+    return ConstraintSet(n_points=n, n_centroids=k, triplets=triplets,
+                         source_kind=labels.kind.value)
 
 
 def mine_from_coordinates(labels: LabelSet, n_points: int) -> ConstraintSet:

@@ -15,7 +15,7 @@ from labelinfo.latentgen import generate_dataset
 from labelinfo.render import matrix_to_csv
 from labelinfo.sweep import derive_seed
 from labelinfo.triplets import (ConstraintSet, apply_noise,
-                                mine_from_coordinates, mine_from_hard, mine_from_soft)
+                                mine_from_coordinates, mine_from_labels)
 
 
 def _toy_constraints():
@@ -87,9 +87,9 @@ def _reference_solve(constraints: ConstraintSet, config: SolverConfig) -> GramMa
 
 def _oracle_sets():
     ds = generate_dataset(n=7, k=4, d=3, seed=21)
-    soft = mine_from_soft(soft_labels(ds))
+    soft = mine_from_labels(soft_labels(ds))
     return {
-        "hard": mine_from_hard(hard_labels(ds)),
+        "hard": mine_from_labels(hard_labels(ds)),
         "soft": soft,
         "pca": mine_from_coordinates(pca_encode(ds, 2), ds.n),
         "noisy": apply_noise(soft, 0.2, seed=3),
@@ -267,7 +267,7 @@ def test_solve_toy_satisfies_constraints():
 
 def test_solve_result_is_psd_and_centered():
     ds = generate_dataset(n=6, k=3, d=3, seed=1)
-    gram = solve(mine_from_soft(soft_labels(ds)), SolverConfig())
+    gram = solve(mine_from_labels(soft_labels(ds)), SolverConfig())
     vals = np.linalg.eigvalsh(gram.entries)
     assert vals.min() >= -1e-8
     assert np.abs(gram.entries.sum(axis=0)).max() < 1e-8
@@ -275,7 +275,7 @@ def test_solve_result_is_psd_and_centered():
 
 def test_solve_objective_never_worse_than_start():
     ds = generate_dataset(n=5, k=3, d=3, seed=4)
-    gram = solve(mine_from_hard(hard_labels(ds)), SolverConfig())
+    gram = solve(mine_from_labels(hard_labels(ds)), SolverConfig())
     diag = gram.diagnostics
     assert diag["final_objective"] <= diag["initial_objective"] + 1e-12
     assert set(diag) == {"initial_objective", "final_objective",
@@ -285,7 +285,7 @@ def test_solve_objective_never_worse_than_start():
 
 def test_solve_deterministic():
     ds = generate_dataset(n=7, k=3, d=3, seed=5)
-    cs = mine_from_soft(soft_labels(ds))
+    cs = mine_from_labels(soft_labels(ds))
     a = solve(cs, SolverConfig())
     b = solve(cs, SolverConfig())
     assert np.array_equal(a.entries, b.entries)
@@ -294,7 +294,7 @@ def test_solve_deterministic():
 
 def test_solve_attains_high_satisfaction_on_consistent_sets():
     ds = generate_dataset(n=8, k=4, d=3, seed=6)
-    gram = solve(mine_from_hard(hard_labels(ds)), SolverConfig())
+    gram = solve(mine_from_labels(hard_labels(ds)), SolverConfig())
     assert gram.diagnostics["satisfied_fraction"] >= 0.95
 
 
@@ -327,7 +327,7 @@ def test_extract_embedding_rank_capping():
 
 def test_embedding_respects_solved_constraints():
     ds = generate_dataset(n=6, k=3, d=3, seed=11)
-    cs = mine_from_hard(hard_labels(ds))
+    cs = mine_from_labels(hard_labels(ds))
     gram = solve(cs, SolverConfig())
     emb = extract_embedding(gram, 3)
     assert satisfied_share(cs.triplets, emb) >= 0.95
@@ -335,7 +335,7 @@ def test_embedding_respects_solved_constraints():
 
 def test_gram_csv_round_trip():
     ds = generate_dataset(n=4, k=2, d=2, seed=3)
-    gram = solve(mine_from_soft(soft_labels(ds)), SolverConfig())
+    gram = solve(mine_from_labels(soft_labels(ds)), SolverConfig())
     back = np.loadtxt(io.StringIO(matrix_to_csv(gram.entries)), delimiter=",")
     assert np.array_equal(back, gram.entries)
 

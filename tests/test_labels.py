@@ -183,10 +183,10 @@ def test_smooth_preserves_argmax_below_threshold(k, eps, seed):
     assert np.allclose(out.values.sum(axis=1), 1.0, atol=1e-9)
 
 
-def column_mutual_information(column, reference, bins=8):
+def column_mutual_information(column, reference):
     """One column's mutual information, through the estimator `topclass_labels` uses."""
     values = np.asarray(column, dtype=float)[:, None]
-    return float(_columns_mutual_information(values, reference, bins)[0])
+    return float(_columns_mutual_information(values, reference)[0])
 
 
 def test_mutual_information_constant_column_is_zero():
@@ -223,12 +223,10 @@ def test_mutual_information_null_is_near_zero():
         assert 0.0 <= null < 0.15
 
 
-def test_mutual_information_rejects_bad_bins_and_size():
+def test_mutual_information_rejects_bad_size():
     rng = np.random.default_rng(1)
     items = rng.standard_normal((10, 3))
     sim = similarity_matrix(items)
-    with pytest.raises(ValueError):
-        column_mutual_information(items[:, 0], sim, bins=1)
     with pytest.raises(ValueError):
         column_mutual_information(np.zeros(9), sim)
 
@@ -256,14 +254,18 @@ def test_mutual_information_matches_reference_bit_for_bit():
         ds = generate_dataset(n=n, k=k, d=4, seed=seed)
         soft = soft_labels(ds)
         sim = similarity_matrix(ds.points)
-        for bins in (2, 8):
-            expected = [_reference_column_mutual_information(soft.values[:, j], sim, bins)
-                        for j in range(k)]
-            assert [column_mutual_information(soft.values[:, j], sim, bins)
-                    for j in range(k)] == expected
-            order = np.argsort(-np.array(expected), kind="stable")
-            kept = topclass_labels(soft, min(2, k), sim, bins).retained_columns
-            assert kept == tuple(sorted(int(j) for j in order[:min(2, k)]))
+        expected = [_reference_column_mutual_information(soft.values[:, j], sim)
+                    for j in range(k)]
+        assert [column_mutual_information(soft.values[:, j], sim)
+                for j in range(k)] == expected
+        order = np.argsort(-np.array(expected), kind="stable")
+        top = topclass_labels(soft, min(2, k), sim)
+        assert _kept_columns(top) == sorted(int(j) for j in order[:min(2, k)])
+
+
+def _kept_columns(top):
+    """Columns a top-class label set keeps: the ones not zeroed out."""
+    return np.flatnonzero(np.any(top.values != 0.0, axis=0)).tolist()
 
 
 def test_topclass_identity_at_full_width():
@@ -272,7 +274,7 @@ def test_topclass_identity_at_full_width():
     sim = similarity_matrix(ds.points)
     out = topclass_labels(soft, 4, sim)
     assert np.allclose(out.values, soft.values)
-    assert out.retained_columns == (0, 1, 2, 3)
+    assert _kept_columns(out) == [0, 1, 2, 3]
 
 
 def test_topclass_drops_constant_column():
@@ -287,7 +289,7 @@ def test_topclass_drops_constant_column():
     soft = soft_labels(ds)
     sim = similarity_matrix(ds.points)
     out = topclass_labels(soft, 2, sim)
-    assert out.retained_columns == (0, 1)
+    assert np.array_equal(out.values[:, :2], soft.values[:, :2])
     assert np.all(out.values[:, 2] == 0.0)
 
 
@@ -296,8 +298,6 @@ def test_topclass_zeroes_whole_columns():
     out = topclass_labels(soft_labels(ds), 2, similarity_matrix(ds.points))
     zero_cols = np.all(out.values == 0.0, axis=0)
     assert zero_cols.sum() == 4
-    assert len(out.retained_columns) == 2
-    assert sorted(out.retained_columns) == list(out.retained_columns)
 
 
 def test_pca_full_rank_preserves_distances():

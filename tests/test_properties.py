@@ -18,7 +18,7 @@ from labelinfo.latentgen import generate_dataset, similarity_matrix
 from labelinfo.metrics import PcaCurve, effective_dimensionality, spearman
 from labelinfo.sweep import SignalSpec, SweepSpec, run_sweep
 from labelinfo.triplets import (apply_noise, count_hard, count_soft, information_ratio,
-                                mine_from_hard, mine_from_soft)
+                                mine_from_labels)
 
 N200 = settings(deadline=None, max_examples=200)
 
@@ -106,10 +106,9 @@ def test_topclass_columns_vs_sparse_entries(n, k, d, seed, data):
     sim = similarity_matrix(ds.points)
     k_hat = data.draw(st.integers(1, k))
     top = topclass_labels(soft, k_hat, sim)
-    dropped = np.setdiff1d(np.arange(k), top.retained_columns)
-    assert np.all(top.values[:, dropped] == 0.0)
-    assert np.array_equal(top.values[:, list(top.retained_columns)],
-                          soft.values[:, list(top.retained_columns)])
+    kept = np.flatnonzero(np.any(top.values != 0.0, axis=0))  # the other columns are zero
+    assert len(kept) == k_hat
+    assert np.array_equal(top.values[:, kept], soft.values[:, kept])
     sparse = sparsify_labels(soft, k_hat)
     if k_hat == k:
         assert np.allclose(top.values, sparse.values)
@@ -142,11 +141,11 @@ def test_count_formulas_and_dedup(per_class, k, d, seed):
     # tiny spread keeps every point nearest its own centroid, so hard labels
     # stay balanced — the count formula's precondition
     tight = generate_dataset(n=n, k=k, d=d, sigma=1e-9, seed=seed)
-    hard_cs = mine_from_hard(hard_labels(tight))
+    hard_cs = mine_from_labels(hard_labels(tight))
     assert len(hard_cs) == count_hard(n, k)
     ds = _tiny_dataset(n, k, d, seed)
     soft = soft_labels(ds)
-    soft_cs = mine_from_soft(soft)
+    soft_cs = mine_from_labels(soft)
     if _has_exact_ties(soft.values):
         assert len(soft_cs) < count_soft(n, k)  # ties emit nothing
     else:
@@ -164,7 +163,7 @@ def test_count_formulas_and_dedup(per_class, k, d, seed):
 def test_point_anchored_constraints_respect_geometry(n, k, d, seed):
     ds = _tiny_dataset(n, k, d, seed)
     coords = ds.all_items()
-    for cs in (mine_from_hard(hard_labels(ds)), mine_from_soft(soft_labels(ds))):
+    for cs in (mine_from_labels(hard_labels(ds)), mine_from_labels(soft_labels(ds))):
         point_anchored = cs.triplets[cs.triplets[:, 0] < n]
         if len(point_anchored):
             assert satisfied_share(point_anchored, coords) == 1.0
@@ -193,7 +192,7 @@ def test_soft_counts_dominate_hard_when_classes_outnumber_points(n, k):
        st.floats(0.0, 1.0), seeds, seeds)
 def test_noise_preserves_count_and_anchors(n, k, d, eps, seed, noise_seed):
     ds = _tiny_dataset(n, k, d, seed)
-    cs = mine_from_soft(soft_labels(ds))
+    cs = mine_from_labels(soft_labels(ds))
     noisy = apply_noise(cs, eps, noise_seed)
     assert len(noisy) == len(cs)
     assert np.array_equal(noisy.triplets[:, 0], cs.triplets[:, 0])
@@ -207,7 +206,7 @@ def test_noise_preserves_count_and_anchors(n, k, d, eps, seed, noise_seed):
 @given(st.integers(2, 5), st.integers(2, 4), seeds)
 def test_solver_output_psd_symmetric_monotone(n, k, seed):
     ds = _tiny_dataset(n, k, 3, seed)
-    gram = solve(mine_from_soft(soft_labels(ds)), _FAST)
+    gram = solve(mine_from_labels(soft_labels(ds)), _FAST)
     entries = gram.entries
     assert np.allclose(entries, entries.T, atol=1e-10)
     assert np.linalg.eigvalsh(entries).min() >= -1e-8
@@ -219,7 +218,7 @@ def test_solver_output_psd_symmetric_monotone(n, k, seed):
 @given(st.integers(2, 5), st.integers(2, 4), seeds)
 def test_solver_determinism(n, k, seed):
     ds = _tiny_dataset(n, k, 3, seed)
-    cs = mine_from_hard(hard_labels(ds))
+    cs = mine_from_labels(hard_labels(ds))
     a = solve(cs, _FAST)
     b = solve(cs, _FAST)
     assert np.array_equal(a.entries, b.entries)
@@ -230,7 +229,7 @@ def test_solver_determinism(n, k, seed):
 @given(st.integers(2, 4), st.integers(2, 3), seeds, seeds)
 def test_solver_permutation_equivariance(n, k, seed, perm_seed):
     ds = _tiny_dataset(n, k, 3, seed)
-    cs = mine_from_soft(soft_labels(ds))
+    cs = mine_from_labels(soft_labels(ds))
     m = cs.m
     perm = np.random.default_rng(perm_seed).permutation(m)
     permuted = type(cs)(n_points=cs.n_points, n_centroids=cs.n_centroids,

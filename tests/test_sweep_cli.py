@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -18,9 +20,9 @@ from labelinfo.render import (curve_panel, pivot_rows, render_curve_panels, rend
                               rows_to_csv)
 from labelinfo.sweep import (SWEEP_COLUMNS, SignalSpec, SweepSpec, _single_threaded_blas,
                              build_labels, derive_seed, effective_dim_for_dataset,
-                             evaluate_cell, mine_constraints, rows_from_csv, run_sweep,
+                             evaluate_cell, mine_constraints, run_sweep,
                              timings_to_csv)
-from labelinfo.triplets import constraints_to_csv, mine_from_soft
+from labelinfo.triplets import constraints_to_csv, mine_from_labels
 
 TINY = SweepSpec(n_grid=(3,), k_grid=(4,), d_grid=(3,),
                  signals=(SignalSpec(LabelKind.HARD), SignalSpec(LabelKind.SOFT)),
@@ -219,7 +221,7 @@ def test_rows_csv_round_trip():
     assert text.splitlines()[0] == ",".join(SWEEP_COLUMNS) == (
         "n,k,d,kind,k_hat,epsilon,seed,constraint_count,information_ratio,rho,"
         "satisfied_fraction,c_hat,loss,iterations,stop_reason,final_objective,status")
-    back = rows_from_csv(text)
+    back = _read_rows(text)
     assert len(back) == len(rows)
     assert back[0]["kind"] == rows[0]["kind"]
     assert float(back[0]["rho"]) == rows[0]["rho"]
@@ -253,7 +255,7 @@ def test_effective_dim_for_dataset_curve_and_crossing(n, k, d):
     # the PCA width cap is min(d, n + k): d in the first case, n + k in the second
     assert [kh for kh, _ in curve.points] == list(range(1, min(d, n + k) + 1))
     assert (k_hat, saturated) == effective_dimensionality(rho_soft, curve)
-    soft_gram = solve(mine_from_soft(soft_labels(ds)))
+    soft_gram = solve(mine_from_labels(soft_labels(ds)))
     assert rho_soft == recovery_score(soft_gram, similarity_matrix(ds.all_items()))
 
 
@@ -265,33 +267,37 @@ def test_pivot_rows_mean_oracle():
         {"n": 3, "k": 4, "kind": "soft", "rho": 0.9, "status": "error: x"},
         {"n": 5, "k": 4, "kind": "soft", "rho": 0.1, "status": "ok"},
     ]
-    pivot = pivot_rows(rows, metric="rho", facet="kind")
+    pivot = pivot_rows(rows, metric="rho")
     table = {(p["facet"], p["n"], p["k"]): (p["value"], p["count"]) for p in pivot}
     assert table[("soft", 3, 4)] == (pytest.approx(0.6), 2)  # error row dropped
     assert table[("hard", 3, 4)] == (0.2, 1)
     assert table[("soft", 5, 4)] == (0.1, 1)
     with pytest.raises(ValueError):
-        pivot_rows(rows, metric="nope", facet="kind")
-    _, csv_text = render_heatmap(rows, "rho", "kind")
+        pivot_rows(rows, metric="nope")
+    _, csv_text = render_heatmap(rows, "rho")
     assert csv_text.splitlines()[0] == "facet,n,k,value,count"
 
 
 def test_render_heatmap_svg_contents():
     rows = [{"n": 3, "k": 4, "kind": "soft", "rho": 0.25, "status": "ok"},
             {"n": 3, "k": 8, "kind": "soft", "rho": 0.75, "status": "ok"}]
-    svg, pivot_csv = render_heatmap(rows, "rho", "kind")
+    svg, pivot_csv = render_heatmap(rows, "rho")
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert "0.250" in svg and "0.750" in svg
-    assert "soft" in svg
+    assert "kind = soft" in svg
     assert pivot_csv.count("\n") == 3
 
 
 def test_render_curve_panels_svg():
     panels = [{"title": "demo", "series": {"sparse": [(1, 0.2), (2, 0.5)]},
                "hlines": {"soft": 0.6}, "marker": (2, 0.5, "sparse")}]
-    svg = render_curve_panels(panels, xlabel="k_hat", ylabel="rho")
-    assert svg.startswith("<svg")
+    svg = render_curve_panels(panels, ylabel="rho")
+    assert svg.startswith("<svg") and ">k_hat</text>" in svg
     assert "demo" in svg and "polyline" in svg and "circle" in svg
+
+
+def _read_rows(text):
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 def _write_config(tmp_path, name, payload):
@@ -391,7 +397,7 @@ def test_cli_analyze_rejects_counts_that_are_not_integers(tmp_path, capsys, grid
 
 def test_cli_embed(tmp_path):
     ds = generate_dataset(n=4, k=3, d=3, seed=2)
-    cs = mine_from_soft(soft_labels(ds))
+    cs = mine_from_labels(soft_labels(ds))
     constraints_path = tmp_path / "constraints.csv"
     constraints_path.write_text(constraints_to_csv(cs))
     cfg = _write_config(tmp_path, "embed.json", {
@@ -413,7 +419,7 @@ def test_cli_sparsity_then_tradeoff(tmp_path):
         "n": 4, "k": 4, "d": 3, "k_hat_grid": [1, 2], "reps": 1})
     out = tmp_path / "sp"
     assert main(["sparsity", "--config", cfg, "--out", str(out)]) == 0
-    rows = rows_from_csv((out / "sparsity.csv").read_text())
+    rows = _read_rows((out / "sparsity.csv").read_text())
     kinds = {r["kind"] for r in rows}
     assert kinds == {"hard", "soft", "sparse", "topclass", "pca"}
     assert (out / "sparsity.svg").exists()
@@ -439,7 +445,7 @@ def test_cli_tradeoff_prices_each_option_as_its_sweep_rows(tmp_path):
         "solver": {"max_iterations": 50}})
     out = tmp_path / "sp"
     assert main(["sparsity", "--config", cfg, "--out", str(out)]) == 0
-    rows = rows_from_csv((out / "sparsity.csv").read_text())
+    rows = _read_rows((out / "sparsity.csv").read_text())
     assert {(r["kind"], r["k_hat"]) for r in rows if r["kind"] == "pca"} == {
         ("pca", "1"), ("pca", "2"), ("pca", "3")}
     sweep_c_hat = {(r["kind"], r["k_hat"]): float(r["c_hat"]) for r in rows}
@@ -448,7 +454,7 @@ def test_cli_tradeoff_prices_each_option_as_its_sweep_rows(tmp_path):
         "beta_grid": [0.0, 0.1]})
     tr_out = tmp_path / "tr"
     assert main(["tradeoff", "--config", tr_cfg, "--out", str(tr_out)]) == 0
-    table = rows_from_csv((tr_out / "tradeoff.csv").read_text())
+    table = _read_rows((tr_out / "tradeoff.csv").read_text())
     assert len(table) == 2 * len(sweep_c_hat)
     full_k_hat = {"hard": "1", "soft": "4"}  # a full signal has no k_hat in its rows
     for row in table:
@@ -508,7 +514,7 @@ def test_cli_sparsity_k_hat_grid_range(tmp_path, capsys):
         "n": 4, "k": 3, "d": 3, "reps": 1, "solver": {"max_iterations": 50}})
     out = tmp_path / "default"
     assert main(["sparsity", "--config", default, "--out", str(out)]) == 0
-    rows = rows_from_csv((out / "sparsity.csv").read_text())
+    rows = _read_rows((out / "sparsity.csv").read_text())
     assert {r["k_hat"] for r in rows if r["kind"] == "sparse"} == {"1", "2", "3"}
 
 
@@ -595,7 +601,7 @@ def test_cli_tradeoff_non_integer_cell_is_usage_error(tmp_path, capsys, key):
 def test_cli_embed_rejects_a_bad_rank_before_solving(tmp_path, monkeypatch, capsys, rank):
     constraints_path = tmp_path / "constraints.csv"
     constraints_path.write_text(constraints_to_csv(
-        mine_from_soft(soft_labels(generate_dataset(n=4, k=3, d=3, seed=2)))))
+        mine_from_labels(soft_labels(generate_dataset(n=4, k=3, d=3, seed=2)))))
     cfg = _write_config(tmp_path, "embed.json", {
         "constraints_csv": str(constraints_path), "embedding_rank": rank})
     monkeypatch.setattr(cli, "solve", lambda *_: pytest.fail("solved before the check"))
@@ -635,3 +641,92 @@ def test_cli_tradeoff_negative_beta_is_usage_error(tmp_path, capsys):
         "beta_grid": [-0.1, 0.1]})
     assert main(["tradeoff", "--config", cfg, "--out", str(tmp_path / "tr")]) == 2
     assert "beta must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [6.9, "6", True, 0])
+@pytest.mark.parametrize("key", ["n", "k", "d"])
+def test_cli_tradeoff_rejects_counts_that_are_not_integers(tmp_path, capsys, key, value):
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_text(rows_to_csv([], SWEEP_COLUMNS))
+    cfg = _write_config(tmp_path, "t.json", {
+        "sweep_csv": str(sweep_csv), "n": 6, "k": 4, "d": 3, key: value})
+    out = tmp_path / "tr"
+    assert main(["tradeoff", "--config", cfg, "--out", str(out)]) == 2
+    assert f"tradeoff {key} must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("signal", [
+    {"kind": "smoothed", "param": "abc"}, {"kind": "typicality", "param": "0.5"},
+    {"kind": "typicality", "param": True}, {"kind": "smoothed", "param": False},
+    {"kind": "smoothed", "param": 1.0}, {"kind": "smoothed", "param": -0.1},
+    {"kind": "typicality", "param": 0}, {"kind": "typicality", "param": 1.5},
+    {"kind": "typicality", "param": float("nan")}])
+def test_signal_param_outside_its_range_is_usage_error(tmp_path, capsys, signal):
+    with pytest.raises(ValueError, match=f"signal {signal['kind']} param must be a number"):
+        SignalSpec.from_dict(signal)
+    cfg = _write_config(tmp_path, "spec.json", {"signals": [signal]})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "param must be a number in" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_signal_param_accepts_the_ends_of_its_range():
+    for kind, param in ((LabelKind.SMOOTHED, 0), (LabelKind.SMOOTHED, 0.99),
+                        (LabelKind.TYPICALITY, 1), (LabelKind.TYPICALITY, 1e-9)):
+        SignalSpec(kind, param=param)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("simulate", TINY.to_dict()), ("sparsity", {"n": 3, "k": 3, "d": 3, "k_hat_grid": [1]})])
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_cli_workers_below_one_is_usage_error(tmp_path, capsys, command, config, workers):
+    cfg = _write_config(tmp_path, "spec.json", config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--workers", workers]) == 2
+    assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_sweep_pool_has_no_more_processes_than_cells(monkeypatch):
+    created = []
+
+    class _Pool:
+        def __init__(self, processes, initializer):
+            created.append(processes)
+            initializer()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return [func(job) for job in jobs]
+
+    class _Context:
+        Pool = _Pool
+
+    monkeypatch.setattr(sweep, "get_context", lambda method: _Context())
+    monkeypatch.setattr(sweep, "_worker_table", None)
+    serial, _ = run_sweep(TINY, workers=1)
+    assert created == []  # one worker runs in this process
+    pooled, _ = run_sweep(TINY, workers=16)
+    assert created == [len(list(TINY.cells()))] == [4]
+    assert pooled == serial
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        run_sweep(TINY, workers=0)
+
+
+def test_every_traced_name_is_a_program_attribute():
+    """perfbench's `--trace 1` patches these attributes; a rename would break it."""
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(tracing)
+    for module_name, attr, _, _ in tracing._PATCHES:
+        module = importlib.import_module(f"labelinfo.{module_name}")
+        assert callable(getattr(module, attr, None)), f"labelinfo.{module_name}.{attr}"

@@ -13,7 +13,7 @@ from labelinfo.latentgen import generate_dataset, similarity_matrix
 from labelinfo.triplets import (ConstraintSet, apply_noise, constraints_from_csv,
                                 constraints_to_csv, count_hard, count_soft,
                                 information_ratio, mine_from_coordinates,
-                                mine_from_hard, mine_from_soft)
+                                mine_from_labels)
 
 _EMPTY = np.empty((0, 3), dtype=np.int64)
 
@@ -157,11 +157,11 @@ _ORACLE_CASES = _oracle_cases()
 
 def _mine(labels, n_points):
     if labels.kind is LabelKind.HARD:
-        return mine_from_hard(labels), _reference_mine_hard(labels.values)
+        return mine_from_labels(labels), _reference_mine_hard(labels.values)
     if labels.kind is LabelKind.PCA_COORDS:
         return (mine_from_coordinates(labels, n_points),
                 _reference_mine_coordinates(labels.values))
-    return mine_from_soft(labels), _reference_mine_soft(labels.values)
+    return mine_from_labels(labels), _reference_mine_soft(labels.values)
 
 
 @pytest.mark.parametrize("labels,n_points", [c[1:] for c in _ORACLE_CASES],
@@ -191,7 +191,7 @@ def test_oracle_cases_include_empty_sets_and_skipped_ties():
 
 def test_hard_mining_two_points_two_classes():
     hard = LabelSet(kind=LabelKind.HARD, values=np.eye(2))
-    cs = mine_from_hard(hard)
+    cs = mine_from_labels(hard)
     assert cs.triplets.tolist() == [[0, 2, 3], [1, 3, 2], [2, 0, 1], [3, 1, 0]]
     assert len(cs) == count_hard(2, 2) == 4
     assert cs.m == 4
@@ -200,22 +200,22 @@ def test_hard_mining_two_points_two_classes():
 def test_soft_mining_hand_example():
     soft = LabelSet(kind=LabelKind.SOFT,
                     values=np.array([[0.7, 0.3], [0.4, 0.6]]))
-    cs = mine_from_soft(soft)
+    cs = mine_from_labels(soft)
     assert cs.triplets.tolist() == [[0, 2, 3], [1, 3, 2], [2, 0, 1], [3, 1, 0]]
     assert len(cs) == count_soft(2, 2) == 4
 
 
 def test_soft_mining_uniform_rows_emit_nothing():
     soft = LabelSet(kind=LabelKind.SOFT, values=np.full((4, 3), 1 / 3))
-    assert len(mine_from_soft(soft)) == 0
+    assert len(mine_from_labels(soft)) == 0
 
 
 def test_sparse_zero_ties_are_skipped():
     ds = generate_dataset(n=8, k=5, d=3, seed=2)
     soft = soft_labels(ds)
     sparse = sparsify_labels(soft, 2)
-    full = mine_from_soft(soft)
-    pruned = mine_from_soft(sparse)
+    full = mine_from_labels(soft)
+    pruned = mine_from_labels(sparse)
     assert len(pruned) < len(full)
     # top-k retention preserves within-row order, so the point-anchored
     # constraints can only shrink (centroid-anchored ones may flip: a dropped
@@ -229,7 +229,7 @@ def test_sparse_zero_ties_are_skipped():
 def test_count_hard_balanced_matches_mined():
     for n, k in [(4, 2), (6, 3), (9, 3), (8, 4), (12, 6)]:
         ds = generate_dataset(n=n, k=k, d=3, sigma=1e-9, seed=n * 31 + k)
-        mined = mine_from_hard(hard_labels(ds))
+        mined = mine_from_labels(hard_labels(ds))
         expected = count_hard(n, k)
         assert expected.denominator == 1
         assert len(mined) == expected
@@ -238,7 +238,7 @@ def test_count_hard_balanced_matches_mined():
 def test_count_soft_matches_mined_tie_free():
     for n, k in [(3, 2), (5, 4), (7, 3), (10, 10)]:
         ds = generate_dataset(n=n, k=k, d=4, seed=n * 17 + k)
-        mined = mine_from_soft(soft_labels(ds))
+        mined = mine_from_labels(soft_labels(ds))
         assert len(mined) == count_soft(n, k)
 
 
@@ -267,11 +267,9 @@ def test_information_ratio_bounds_and_errors():
 
 def test_mining_rejects_wrong_kinds():
     hard = LabelSet(kind=LabelKind.HARD, values=np.eye(3))
-    soft = LabelSet(kind=LabelKind.SOFT, values=np.full((3, 3), 1 / 3))
+    coords = LabelSet(kind=LabelKind.PCA_COORDS, values=np.eye(3))
     with pytest.raises(TypeError):
-        mine_from_hard(soft)
-    with pytest.raises(TypeError):
-        mine_from_soft(hard)
+        mine_from_labels(coords)
     with pytest.raises(TypeError):
         mine_from_coordinates(hard, 3)
 
@@ -304,7 +302,7 @@ def test_coordinate_mining_full_rank_answers_everything():
 
 def test_triplets_are_lexsorted_and_unique():
     ds = generate_dataset(n=10, k=4, d=3, seed=5)
-    for cs in (mine_from_hard(hard_labels(ds)), mine_from_soft(soft_labels(ds))):
+    for cs in (mine_from_labels(hard_labels(ds)), mine_from_labels(soft_labels(ds))):
         t = cs.triplets
         assert t.shape[0] == len(np.unique(t, axis=0))
         order = np.lexsort((t[:, 2], t[:, 1], t[:, 0]))
@@ -313,7 +311,7 @@ def test_triplets_are_lexsorted_and_unique():
 
 def test_apply_noise_zero_and_one():
     ds = generate_dataset(n=6, k=3, d=3, seed=7)
-    cs = mine_from_soft(soft_labels(ds))
+    cs = mine_from_labels(soft_labels(ds))
     same = apply_noise(cs, 0.0, seed=1)
     assert np.array_equal(same.triplets, cs.triplets)
     flipped = apply_noise(cs, 1.0, seed=1)
@@ -325,7 +323,7 @@ def test_apply_noise_zero_and_one():
 
 def test_apply_noise_deterministic_and_partial():
     ds = generate_dataset(n=12, k=4, d=3, seed=8)
-    cs = mine_from_soft(soft_labels(ds))
+    cs = mine_from_labels(soft_labels(ds))
     a = apply_noise(cs, 0.3, seed=42)
     b = apply_noise(cs, 0.3, seed=42)
     assert np.array_equal(a.triplets, b.triplets)
@@ -345,7 +343,7 @@ def test_apply_noise_rejects_bad_rate():
 
 def test_constraint_csv_round_trip():
     ds = generate_dataset(n=7, k=3, d=3, seed=9)
-    cs = apply_noise(mine_from_soft(soft_labels(ds)), 0.2, seed=3)
+    cs = apply_noise(mine_from_labels(soft_labels(ds)), 0.2, seed=3)
     back = constraints_from_csv(constraints_to_csv(cs))
     assert back.n_points == 7 and back.n_centroids == 3
     assert back.source_kind == "soft"
@@ -369,21 +367,21 @@ def test_constraint_csv_rejects_garbage():
 def test_hard_count_formula_balanced_property(per_class, k, seed):
     n = per_class * k
     ds = generate_dataset(n=n, k=k, d=3, sigma=1e-9, seed=seed)
-    assert len(mine_from_hard(hard_labels(ds))) == count_hard(n, k)
+    assert len(mine_from_labels(hard_labels(ds))) == count_hard(n, k)
 
 
 @settings(deadline=None, max_examples=80)
 @given(st.integers(1, 20), st.integers(2, 8), st.integers(0, 2**32 - 1))
 def test_soft_count_formula_property(n, k, seed):
     ds = generate_dataset(n=n, k=k, d=4, seed=seed)
-    assert len(mine_from_soft(soft_labels(ds))) == count_soft(n, k)
+    assert len(mine_from_labels(soft_labels(ds))) == count_soft(n, k)
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 12), st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_mined_indices_in_range(n, k, seed):
     ds = generate_dataset(n=n, k=k, d=3, seed=seed)
-    for cs in (mine_from_hard(hard_labels(ds)), mine_from_soft(soft_labels(ds))):
+    for cs in (mine_from_labels(hard_labels(ds)), mine_from_labels(soft_labels(ds))):
         t = cs.triplets
         if t.size:
             assert t.min() >= 0 and t.max() < cs.m
