@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from labelinfo import cli
+from labelinfo import cli, render
 
 
 def main() -> int:
@@ -40,18 +40,12 @@ def main() -> int:
     if rc != 0:
         return rc
 
-    cells: dict = {}
     with open(out / "sweep.csv") as fh:
-        for row in csv.DictReader(fh):
-            if row["status"] != "ok":
-                continue
-            cell = (int(row["n"]), int(row["k"]))
-            cells.setdefault(cell, {}).setdefault(row["kind"], []).append(
-                float(row["rho"]))
+        means = render.mean_by(csv.DictReader(fh),
+                               lambda row: (int(row["n"]), int(row["k"]), row["kind"]), "rho")
     print(f"{'n':>4} {'k':>4} {'rho_hard':>9} {'rho_soft':>9} {'gap':>7}")
-    for (n, k), kinds in sorted(cells.items()):
-        hard = sum(kinds["hard"]) / len(kinds["hard"])
-        soft = sum(kinds["soft"]) / len(kinds["soft"])
+    for n, k in sorted({(n, k) for n, k, _ in means}):
+        hard, soft = means[n, k, "hard"][0], means[n, k, "soft"][0]
         print(f"{n:>4} {k:>4} {hard:>9.3f} {soft:>9.3f} {soft - hard:>+7.3f}")
     print(f"\nartifacts in {out}/")
     return 0

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from labelinfo import cli
+from labelinfo import cli, render
 
 
 def main() -> int:
@@ -42,17 +42,12 @@ def main() -> int:
     if rc != 0:
         return rc
 
-    by_signal: dict = {}
     with open(out / "sparsity.csv") as fh:
-        for row in csv.DictReader(fh):
-            if row["status"] != "ok":
-                continue
-            key = (row["kind"], int(row["k_hat"]) if row["k_hat"] else None)
-            by_signal.setdefault(key, []).append(float(row["rho"]))
+        means = render.mean_by(csv.DictReader(fh),
+                               lambda row: (row["kind"], int(row["k_hat"] or 0)), "rho")
     print(f"{'signal':>10} {'k_hat':>6} {'mean_rho':>9}")
-    for (kind, k_hat), rhos in sorted(by_signal.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0)):
-        label = "-" if k_hat is None else str(k_hat)
-        print(f"{kind:>10} {label:>6} {sum(rhos) / len(rhos):>9.3f}")
+    for (kind, k_hat), (mean_rho, _) in means.items():
+        print(f"{kind:>10} {k_hat or '-':>6} {mean_rho:>9.3f}")
 
     tradeoff_config = out / "tradeoff_config.json"
     tradeoff_config.write_text(json.dumps({

@@ -4,8 +4,7 @@ recovery metrics, and annotation cost-benefit analysis."""
 
 __version__ = "0.1.0"
 
-from .latentgen import (LatentDataset, SimilarityMatrix, generate_dataset,
-                        similarity_matrix)
+from .latentgen import LatentDataset, generate_dataset, similarity_matrix
 from .labels import (LabelKind, LabelSet, hard_labels, soft_labels,
                      smooth_labels, typicality_labels, sparsify_labels,
                      topclass_labels, pca_encode)
@@ -18,7 +17,7 @@ from .costbenefit import (SignalOption, TradeoffConfig, UtilityKind, cost,
 from .sweep import SignalSpec, SweepSpec, run_sweep, derive_seed
 
 __all__ = [
-    "LatentDataset", "SimilarityMatrix", "generate_dataset", "similarity_matrix",
+    "LatentDataset", "generate_dataset", "similarity_matrix",
     "LabelKind", "LabelSet", "hard_labels", "soft_labels", "smooth_labels",
     "typicality_labels", "sparsify_labels", "topclass_labels", "pca_encode",
     "ConstraintSet", "mine_from_labels", "mine_from_coordinates",

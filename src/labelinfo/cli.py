@@ -153,7 +153,7 @@ def cmd_embed(args) -> int:
     try:
         constraints = triplets.constraints_from_csv(
             Path(config["constraints_csv"]).read_text())
-    except OSError as exc:
+    except (OSError, TypeError) as exc:
         raise UsageError(f"cannot read constraints: {exc}") from exc
     except ValueError as exc:
         raise UsageError(f"bad constraints CSV: {exc}") from exc
@@ -205,12 +205,17 @@ def cmd_tradeoff(args) -> int:
             check_count(f"tradeoff {key}", config[key], 1)
         n, k, d = config["n"], config["k"], config["d"]
         utility_kind = UtilityKind(config.get("utility_kind", "linear"))
-        beta_grid = [float(b) for b in
-                     config.get("beta_grid", np.linspace(0.0, 0.5, 50))]
-        configs = [TradeoffConfig(beta=b, utility_kind=utility_kind) for b in beta_grid]
+        configs = [TradeoffConfig(beta=b, utility_kind=utility_kind)
+                   for b in config.get("beta_grid", np.linspace(0.0, 0.5, 50))]
+        # an integer beta is written as a float
+        configs = [dataclasses.replace(c, beta=float(c.beta)) for c in configs]
+        beta_grid = [c.beta for c in configs]
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad tradeoff config: {exc}") from exc
-    options = _options_from_sweep_rows(rows, n, k, d)
+    try:
+        options = _options_from_sweep_rows(rows, n, k, d)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad sweep CSV: {type(exc).__name__}: {exc}") from exc
     if not any(o.kind in (LabelKind.SPARSE_SOFT, LabelKind.TOP_CLASS)
                for o in options):
         raise UsageError("sweep has no sparse/top-class rows for this cell; "

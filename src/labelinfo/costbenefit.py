@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gnmds import check_real
 from .labels import PARTIAL_KINDS, LabelKind
 from .render import rows_to_csv
 
@@ -29,8 +30,7 @@ class TradeoffConfig:
     utility_kind: UtilityKind = UtilityKind.LINEAR
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        check_real("beta", self.beta, ">= 0", lambda b: b >= 0)
 
 
 @dataclass(frozen=True)

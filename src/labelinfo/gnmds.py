@@ -30,6 +30,7 @@ and the next iteration's active set.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,15 @@ def check_count(name: str, value, low: int, high: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
+def check_real(name: str, value, bounds: str = "> 0", holds=lambda v: v > 0) -> None:
+    """Reject a value that is not a real number (a bool included) or fails `holds`.
+
+    A JSON `true` would otherwise pass every range test as the number 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not holds(value):
+        raise ValueError(f"{name} must be a number {bounds}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     margin: float = 1.0
@@ -69,15 +79,11 @@ class SolverConfig:
     tolerance: float = 1e-4
 
     def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
-        if self.lam <= 0:
-            raise ValueError(f"trace weight must be positive, got {self.lam}")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
+        for name in ("margin", "lam", "tolerance"):
+            check_real(name, getattr(self, name))
+        if self.step_size is not None:
+            check_real("step_size", self.step_size)
         check_count("max_iterations", self.max_iterations, 1)
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True)

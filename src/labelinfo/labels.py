@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .latentgen import LatentDataset, SimilarityMatrix
+from .latentgen import LatentDataset
 
 
 class LabelKind(enum.Enum):
@@ -110,23 +110,23 @@ def sparsify_labels(soft: LabelSet, k_hat: int) -> LabelSet:
     return LabelSet(kind=LabelKind.SPARSE_SOFT, values=values, k_hat=k_hat)
 
 
-def _columns_mutual_information(values: np.ndarray, reference: SimilarityMatrix) -> np.ndarray:
+def _columns_mutual_information(values: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Plug-in mutual information (bits) between each label column and similarity structure.
 
     For each column, forms the paired sample (|col_a - col_b|, sim_ab) over
-    all point pairs, discretizes each marginal into `_MI_BINS` equal-frequency
-    bins (the reference is binned once) and returns the mutual information
-    of the joint histogram. Non-negative by construction; exactly 0 for a
-    constant column.
+    all point pairs a < b of the n x n `reference`, discretizes each
+    marginal into `_MI_BINS` equal-frequency bins (the reference is binned
+    once) and returns the mutual information of the joint histogram.
+    Non-negative by construction; exactly 0 for a constant column.
     """
     n, k = values.shape
     if n < 3:
         raise ValueError(f"need at least 3 points to estimate column information, got {n}")
-    if reference.size != n:
-        raise ValueError(f"reference covers {reference.size} points, column has {n}")
+    if reference.shape != (n, n):
+        raise ValueError(f"reference has shape {reference.shape}, columns have {n} points")
     bins = _MI_BINS
     iu = np.triu_indices(n, 1)
-    y = _equal_frequency_codes(reference.values)
+    y = _equal_frequency_codes(reference[iu])
     mi = np.empty(k)
     for j in range(k):
         col = values[:, j]
@@ -146,7 +146,7 @@ def _equal_frequency_codes(x: np.ndarray) -> np.ndarray:
     return np.searchsorted(edges, x, side="right")
 
 
-def topclass_labels(soft: LabelSet, k_hat: int, reference: SimilarityMatrix) -> LabelSet:
+def topclass_labels(soft: LabelSet, k_hat: int, reference: np.ndarray) -> LabelSet:
     """Zero out all but the k_hat columns most informative about the similarity structure.
 
     Column informativeness is the plug-in mutual information between the
@@ -158,8 +158,8 @@ def topclass_labels(soft: LabelSet, k_hat: int, reference: SimilarityMatrix) -> 
     n, k = soft.values.shape
     if not 1 <= k_hat <= k:
         raise ValueError(f"k_hat must lie in [1, {k}], got {k_hat}")
-    if reference.size != n:
-        raise ValueError(f"reference covers {reference.size} points, labels have {n}")
+    if reference.shape != (n, n):
+        raise ValueError(f"reference has shape {reference.shape}, labels have {n} points")
     retained = np.argsort(-_columns_mutual_information(soft.values, reference),
                           kind="stable")[:k_hat]
     values = np.zeros_like(soft.values)

@@ -42,18 +42,6 @@ class LatentDataset:
         return np.vstack([self.points, self.centroids])
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Upper triangle of a symmetric pairwise similarity matrix.
-
-    `values` holds the m(m-1)/2 entries in row-major (i < j) order, the same
-    order as numpy's ``triu_indices(m, 1)``.
-    """
-
-    size: int
-    values: np.ndarray
-
-
 def generate_dataset(n: int, k: int, d: int, sigma: float = 0.5, seed: int = 0) -> LatentDataset:
     """Sample n points around k standard-normal centroids in R^d.
 
@@ -81,12 +69,12 @@ def generate_dataset(n: int, k: int, d: int, sigma: float = 0.5, seed: int = 0) 
                          assignments=assignments, d=d, seed=seed)
 
 
-def similarity_matrix(items: np.ndarray, normalized: bool = True) -> SimilarityMatrix:
-    """Pairwise similarities: cosine when `normalized`, raw inner products otherwise."""
+def similarity_matrix(items: np.ndarray, normalized: bool = True) -> np.ndarray:
+    """Symmetric m x m pairwise similarities of m items: cosine when
+    `normalized`, raw inner products otherwise."""
     x = np.asarray(items, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"items must be a 2-d array of vectors, got shape {x.shape}")
-    m = x.shape[0]
     gram = x @ x.T
     if normalized:
         norms = np.sqrt(np.diagonal(gram))
@@ -94,6 +82,5 @@ def similarity_matrix(items: np.ndarray, normalized: bool = True) -> SimilarityM
             raise ValueError("cosine similarity is undefined for zero vectors")
         gram = gram / np.outer(norms, norms)
         gram = np.clip(gram, -1.0, 1.0)
-    iu = np.triu_indices(m, 1)
-    return SimilarityMatrix(size=m, values=gram[iu])
+    return gram
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gnmds import GramMatrix
-from .latentgen import SimilarityMatrix
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -44,16 +43,17 @@ def spearman(a, b) -> float:
     return float(np.clip((ra * rb).sum() / denom, -1.0, 1.0))
 
 
-def recovery_score(gram: GramMatrix, truth: SimilarityMatrix) -> float:
-    """Spearman between predicted Gram entries and true cosine similarities.
+def recovery_score(gram: GramMatrix, truth: np.ndarray) -> float:
+    """Spearman between predicted Gram entries and true similarities, over
+    the pairs i < j of the m x m `truth`.
 
     The prediction side is deliberately left unnormalized: rank correlation
     absorbs the scale.
     """
-    if gram.size != truth.size:
-        raise ValueError(f"item count mismatch: gram {gram.size}, truth {truth.size}")
+    if truth.shape != gram.entries.shape:
+        raise ValueError(f"shape mismatch: gram {gram.entries.shape}, truth {truth.shape}")
     iu = np.triu_indices(gram.size, 1)
-    return spearman(gram.entries[iu], truth.values)
+    return spearman(gram.entries[iu], truth[iu])
 
 
 @dataclass(frozen=True)

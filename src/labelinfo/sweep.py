@@ -9,7 +9,6 @@ result rows to keep the emitted sweep CSV byte-reproducible.
 from __future__ import annotations
 
 import hashlib
-import numbers
 import os
 import time
 from contextlib import contextmanager
@@ -20,12 +19,12 @@ import numpy as np
 
 from . import costbenefit, triplets
 from .costbenefit import TradeoffConfig, UtilityKind
-from .gnmds import SolverConfig, check_count, solve
+from .gnmds import SolverConfig, check_count, check_real, solve
 from .labels import (PARTIAL_KINDS, LabelKind, LabelSet, hard_labels, pca_encode,
                      smooth_labels, soft_labels, sparsify_labels, topclass_labels,
                      typicality_labels)
 from .latentgen import LatentDataset, generate_dataset, similarity_matrix
-from .metrics import PcaCurve, effective_dimensionality, recovery_score
+from .metrics import recovery_score
 from .render import rows_to_csv
 
 CELL_COLUMNS = ("n", "k", "d", "kind", "k_hat", "epsilon", "seed")  # name a cell
@@ -35,8 +34,8 @@ SWEEP_COLUMNS = CELL_COLUMNS + (
 
 _DEFAULT_SMOOTHING = 0.05
 # The range each kind's `param` must lie in, as text and as a test.
-_PARAM_RANGES = {LabelKind.SMOOTHED: ("[0, 1)", lambda p: 0 <= p < 1),
-                 LabelKind.TYPICALITY: ("(0, 1]", lambda p: 0 < p <= 1)}
+_PARAM_RANGES = {LabelKind.SMOOTHED: ("in [0, 1)", lambda p: 0 <= p < 1),
+                 LabelKind.TYPICALITY: ("in (0, 1]", lambda p: 0 < p <= 1)}
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -75,11 +74,7 @@ class SignalSpec:
             return
         if self.kind not in _PARAM_RANGES:
             raise ValueError(f"signal {self.kind.value} takes no param")
-        bounds, holds = _PARAM_RANGES[self.kind]
-        if (isinstance(self.param, bool) or not isinstance(self.param, numbers.Real)
-                or not holds(self.param)):
-            raise ValueError(f"signal {self.kind.value} param must be a number in {bounds}, "
-                             f"got {self.param!r}")
+        check_real(f"signal {self.kind.value} param", self.param, *_PARAM_RANGES[self.kind])
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind.value}
@@ -119,10 +114,9 @@ class SweepSpec:
                 check_count(f"{name} value", value, low)
         check_count("reps", self.reps, 1)
         check_count("base_seed", self.base_seed, 0, 2**64 - 1)
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if any(not 0 <= e <= 1 for e in self.epsilon_grid):
-            raise ValueError("flip rates must lie in [0, 1]")
+        check_real("sigma", self.sigma)
+        for eps in self.epsilon_grid:
+            check_real("flip rate", eps, "in [0, 1]", lambda e: 0 <= e <= 1)
 
     def cells(self):
         """Deterministic cell order; one result row per cell."""
@@ -135,21 +129,10 @@ class SweepSpec:
                                 yield (n, k, d, signal, eps, rep)
 
     def to_dict(self) -> dict:
-        return {
-            "n_grid": list(self.n_grid),
-            "k_grid": list(self.k_grid),
-            "d_grid": list(self.d_grid),
-            "signals": [s.to_dict() for s in self.signals],
-            "epsilon_grid": list(self.epsilon_grid),
-            "reps": self.reps,
-            "sigma": self.sigma,
-            "base_seed": self.base_seed,
-            "solver": asdict(self.solver),
-            "tradeoff": {
-                "beta": self.tradeoff.beta,
-                "utility_kind": self.tradeoff.utility_kind.value,
-            },
-        }
+        out = asdict(self)
+        out["signals"] = [s.to_dict() for s in self.signals]
+        out["tradeoff"]["utility_kind"] = self.tradeoff.utility_kind.value
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
@@ -193,7 +176,7 @@ def build_labels(dataset: LatentDataset, signal: SignalSpec) -> LabelSet:
         reference = similarity_matrix(dataset.points)
         return topclass_labels(soft_labels(dataset), signal.k_hat, reference)
     if kind is LabelKind.PCA_COORDS:
-        return pca_encode(dataset, min(signal.k_hat, _pca_width(dataset)))
+        return pca_encode(dataset, min(signal.k_hat, dataset.d, dataset.n + dataset.k))
     raise ValueError(f"no label builder for kind {kind!r}")
 
 
@@ -201,11 +184,6 @@ def mine_constraints(labels: LabelSet, n_points: int) -> triplets.ConstraintSet:
     if labels.kind is LabelKind.PCA_COORDS:
         return triplets.mine_from_coordinates(labels, n_points)
     return triplets.mine_from_labels(labels)
-
-
-def _pca_width(dataset: LatentDataset) -> int:
-    """Most principal components `pca_encode` accepts here: min(d, n + k)."""
-    return min(dataset.d, dataset.n + dataset.k)
 
 
 def evaluate_cell(spec: SweepSpec, cell, table: dict | None = None) -> tuple[dict, float]:
@@ -315,21 +293,3 @@ def run_sweep(spec: SweepSpec, workers: int = 1):
 def timings_to_csv(rows, times) -> str:
     return rows_to_csv([{**row, "wall_time": t} for row, t in zip(rows, times)],
                        CELL_COLUMNS + ("wall_time",))
-
-
-def effective_dim_for_dataset(dataset: LatentDataset):
-    """Fewest retained principal components matching this dataset's soft-label recovery.
-
-    The PCA curve covers k_hat = 1..min(d, n + k), each point the recovery
-    of coordinate labels with that many components.
-    Returns (k_hat, saturated, rho_soft, curve).
-    """
-    truth = similarity_matrix(dataset.all_items())
-    rho_soft = recovery_score(solve(triplets.mine_from_labels(soft_labels(dataset))), truth)
-    points = []
-    for k_hat in range(1, _pca_width(dataset) + 1):
-        constraints = triplets.mine_from_coordinates(pca_encode(dataset, k_hat), dataset.n)
-        points.append((k_hat, recovery_score(solve(constraints), truth)))
-    curve = PcaCurve(tuple(points))
-    k_hat, saturated = effective_dimensionality(rho_soft, curve)
-    return k_hat, saturated, rho_soft, curve

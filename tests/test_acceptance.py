@@ -29,11 +29,9 @@ from labelinfo.costbenefit import (SignalOption, TradeoffConfig,
 from labelinfo.gnmds import solve
 from labelinfo.labels import LabelKind, hard_labels, soft_labels
 from labelinfo.latentgen import generate_dataset, similarity_matrix
-from labelinfo.metrics import effective_dimensionality, recovery_score
+from labelinfo.metrics import PcaCurve, effective_dimensionality, recovery_score
 from labelinfo.render import rows_to_csv
-from labelinfo.sweep import (SWEEP_COLUMNS, SignalSpec, SweepSpec, build_labels,
-                             derive_seed, effective_dim_for_dataset, mine_constraints,
-                             run_sweep)
+from labelinfo.sweep import SWEEP_COLUMNS, SignalSpec, SweepSpec, run_sweep
 from labelinfo.triplets import (ConstraintSet, count_hard, count_soft,
                                 information_ratio, mine_from_labels)
 
@@ -319,6 +317,7 @@ def test_criterion_06_sparsity_orderings(sparsity_rows):
 # in (n, k) and falls as n+k grows, so a cross-cell correlation measures
 # problem size rather than signal richness (about +0.27 here; it is
 # printed, not asserted). Saturation at d=5 is rare and is also printed.
+# Each cell runs as one sweep, so its rows are scored as every command's are.
 
 def test_criterion_07_information_ratio_tracks_effective_dimensionality():
     cells = [(3, 10), (3, 20), (3, 40), (5, 10), (5, 20), (5, 40),
@@ -326,27 +325,32 @@ def test_criterion_07_information_ratio_tracks_effective_dimensionality():
     signals = (SignalSpec(LabelKind.HARD),
                SignalSpec(LabelKind.SPARSE_SOFT, k_hat=2),
                SignalSpec(LabelKind.SOFT))
+    # the PCA curve: k_hat = 1..d, since n + k > d = 5 in every cell
+    curve_signals = tuple(SignalSpec(LabelKind.PCA_COORDS, k_hat=k_hat) for k_hat in range(1, 6))
     t0 = time.perf_counter()
     irs, dims = [], []  # centred within each dataset
     cell_irs, cell_dims = [], []  # soft labels only, one point per cell
     saturated = 0
     for n, k in cells:
+        spec = SweepSpec(n_grid=(n,), k_grid=(k,), d_grid=(5,), reps=3, base_seed=99,
+                         signals=signals + curve_signals)
+        rows, _ = run_sweep(spec, workers=2)
+        assert all(row["status"] == "ok" for row in rows)
+        by_dataset: dict = {}
+        for row in rows:
+            by_dataset.setdefault(row["seed"], []).append(row)
         soft_dims = []
-        for rep in range(3):
-            seed = derive_seed(99, n=n, k=k, d=5, rep=rep)
-            ds = generate_dataset(n=n, k=k, d=5, sigma=0.5, seed=seed)
-            soft_dim, soft_saturated, _, curve = effective_dim_for_dataset(ds)
-            soft_dims.append(soft_dim)
-            truth = similarity_matrix(ds.all_items())
+        for ds_rows in by_dataset.values():
+            curve = PcaCurve(tuple((row["k_hat"], row["rho"]) for row in ds_rows
+                                   if row["kind"] == "pca"))
             ds_irs, ds_dims = [], []
-            for signal in signals:
-                constraints = mine_constraints(build_labels(ds, signal), n)
-                if signal.kind is LabelKind.SOFT:
-                    dim, sat = soft_dim, soft_saturated
-                else:
-                    rho = recovery_score(solve(constraints), truth)
-                    dim, sat = effective_dimensionality(rho, curve)
-                ds_irs.append(information_ratio(len(constraints), n, k))
+            for row in ds_rows:
+                if row["kind"] == "pca":
+                    continue
+                dim, sat = effective_dimensionality(row["rho"], curve)
+                if row["kind"] == "soft":
+                    soft_dims.append(dim)
+                ds_irs.append(row["information_ratio"])
                 ds_dims.append(dim)
                 saturated += sat
             irs.extend(np.asarray(ds_irs) - np.mean(ds_irs))

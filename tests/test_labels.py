@@ -237,7 +237,7 @@ def _reference_column_mutual_information(column, reference, bins=8):
     iu = np.triu_indices(n, 1)
     pair_dist = np.abs(column[iu[0]] - column[iu[1]])
     codes = []
-    for sample in (pair_dist, reference.values):
+    for sample in (pair_dist, reference[iu]):
         edges = np.quantile(sample, np.linspace(0.0, 1.0, bins + 1)[1:-1])
         codes.append(np.searchsorted(edges, sample, side="right"))
     joint = np.zeros((bins, bins))

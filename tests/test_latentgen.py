@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelinfo.latentgen import (LatentDataset, SimilarityMatrix, generate_dataset,
-                                 similarity_matrix)
+from labelinfo.latentgen import LatentDataset, generate_dataset, similarity_matrix
 
 
 def test_round_robin_balance():
@@ -47,14 +46,14 @@ def test_generate_rejects_bad_params(bad):
 
 def test_similarity_parallel_and_orthogonal():
     sim = similarity_matrix(np.array([[1.0, 0.0], [2.0, 0.0]]))
-    assert sim.values[0] == pytest.approx(1.0)
+    assert sim[0, 1] == pytest.approx(1.0)
     sim = similarity_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert sim.values[0] == pytest.approx(0.0)
+    assert sim[0, 1] == pytest.approx(0.0)
 
 
 def test_similarity_unnormalized_dot():
     sim = similarity_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]), normalized=False)
-    assert sim.values[0] == pytest.approx(11.0)
+    assert sim[0, 1] == pytest.approx(11.0)
 
 
 def test_similarity_zero_vector_rejected():
@@ -63,12 +62,14 @@ def test_similarity_zero_vector_rejected():
 
 
 def test_similarity_upper_triangle_layout():
+    # scoring reads the pairs i < j of the symmetric m x m matrix
     items = np.random.default_rng(3).standard_normal((5, 4))
     sim = similarity_matrix(items)
-    assert sim.size == 5
-    assert len(sim.values) == 10
+    assert sim.shape == (5, 5)
+    assert np.array_equal(sim, sim.T)
     unit = items / np.linalg.norm(items, axis=1, keepdims=True)
-    assert np.allclose(sim.values, (unit @ unit.T)[np.triu_indices(5, 1)])
+    iu = np.triu_indices(5, 1)
+    assert np.allclose(sim[iu], (unit @ unit.T)[iu])
 
 
 @settings(deadline=None, max_examples=50)
@@ -90,7 +91,7 @@ def test_cosine_invariant_under_positive_rescaling(m, d, scale, seed):
     scaled = items.copy()
     scaled[0] *= scale
     b = similarity_matrix(scaled)
-    assert np.allclose(a.values, b.values, atol=1e-10)
+    assert np.allclose(a, b, atol=1e-10)
 
 
 def test_all_items_stacks_points_then_centroids():

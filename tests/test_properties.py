@@ -56,7 +56,7 @@ def test_cosine_similarity_scale_invariant(m, d, seed, scale):
     rescaled = items.copy()
     rescaled[which] *= scale
     again = similarity_matrix(rescaled, normalized=True)
-    assert np.allclose(base.values, again.values, atol=1e-9)
+    assert np.allclose(base, again, atol=1e-9)
 
 
 # ------------------------------------------------------------------- labels

@@ -15,13 +15,12 @@ from labelinfo.cli import main
 from labelinfo.gnmds import solve
 from labelinfo.labels import LabelKind, soft_labels
 from labelinfo.latentgen import generate_dataset, similarity_matrix
-from labelinfo.metrics import effective_dimensionality, recovery_score
+from labelinfo.metrics import recovery_score
 from labelinfo.render import (curve_panel, pivot_rows, render_curve_panels, render_heatmap,
                               rows_to_csv)
 from labelinfo.sweep import (SWEEP_COLUMNS, SignalSpec, SweepSpec, _single_threaded_blas,
-                             build_labels, derive_seed, effective_dim_for_dataset,
-                             evaluate_cell, mine_constraints, run_sweep,
-                             timings_to_csv)
+                             build_labels, derive_seed, evaluate_cell, mine_constraints,
+                             run_sweep, timings_to_csv)
 from labelinfo.triplets import constraints_to_csv, mine_from_labels
 
 TINY = SweepSpec(n_grid=(3,), k_grid=(4,), d_grid=(3,),
@@ -94,6 +93,10 @@ def test_evaluate_cell_ok_row():
     assert 1 <= row["iterations"] <= TINY.solver.max_iterations
     assert row["final_objective"] > 0
     assert wall > 0
+    # rho scores the solved Gram against the cosines of all n + k items
+    ds = generate_dataset(n=3, k=4, d=3, sigma=TINY.sigma, seed=row["seed"])
+    gram = solve(mine_from_labels(soft_labels(ds)), TINY.solver)
+    assert row["rho"] == recovery_score(gram, similarity_matrix(ds.all_items()))
     # paired datasets: hard cell at same (n,k,d,rep) shares the seed
     hard_row, _ = evaluate_cell(TINY, (3, 4, 3, SignalSpec(LabelKind.HARD), 0.0, 0))
     assert hard_row["seed"] == row["seed"]
@@ -246,17 +249,12 @@ def test_pca_signal_records_effective_k_hat():
     assert rows[0]["status"] == "ok"
     assert rows[0]["k_hat"] == 5
     assert rows[0]["c_hat"] == 5.0
-
-
-@pytest.mark.parametrize("n, k, d", [(3, 4, 3), (1, 2, 5)])
-def test_effective_dim_for_dataset_curve_and_crossing(n, k, d):
-    ds = generate_dataset(n=n, k=k, d=d, seed=3)
-    k_hat, saturated, rho_soft, curve = effective_dim_for_dataset(ds)
-    # the PCA width cap is min(d, n + k): d in the first case, n + k in the second
-    assert [kh for kh, _ in curve.points] == list(range(1, min(d, n + k) + 1))
-    assert (k_hat, saturated) == effective_dimensionality(rho_soft, curve)
-    soft_gram = solve(mine_from_labels(soft_labels(ds)))
-    assert rho_soft == recovery_score(soft_gram, similarity_matrix(ds.all_items()))
+    # n + k = 3 items below d = 5: capped at n + k
+    spec = SweepSpec(n_grid=(1,), k_grid=(2,), d_grid=(5,),
+                     signals=(SignalSpec(LabelKind.PCA_COORDS, k_hat=10),), reps=1)
+    rows, _ = run_sweep(spec, workers=1)
+    assert rows[0]["status"] == "ok"
+    assert rows[0]["k_hat"] == 3
 
 
 def test_pivot_rows_mean_oracle():
@@ -640,7 +638,7 @@ def test_cli_tradeoff_negative_beta_is_usage_error(tmp_path, capsys):
         "sweep_csv": str(sweep_csv), "n": 3, "k": 4, "d": 3,
         "beta_grid": [-0.1, 0.1]})
     assert main(["tradeoff", "--config", cfg, "--out", str(tmp_path / "tr")]) == 2
-    assert "beta must be >= 0" in capsys.readouterr().err
+    assert "beta must be a number >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [6.9, "6", True, 0])
@@ -730,3 +728,80 @@ def test_every_traced_name_is_a_program_attribute():
     for module_name, attr, _, _ in tracing._PATCHES:
         module = importlib.import_module(f"labelinfo.{module_name}")
         assert callable(getattr(module, attr, None)), f"labelinfo.{module_name}.{attr}"
+
+
+def _sweep_row(**changes) -> dict:
+    row = dict.fromkeys(SWEEP_COLUMNS, "")
+    row.update({"n": 6, "k": 4, "d": 3, "kind": "sparse", "k_hat": 2, "epsilon": 0.0,
+                "seed": 1, "rho": 0.5, "status": "ok"})
+    row.update(changes)
+    return row
+
+
+@pytest.mark.parametrize("sweep_text, error", [
+    (timings_to_csv([_sweep_row()], [0.1]), "KeyError: 'rho'"),
+    (rows_to_csv([_sweep_row(n="abc")], SWEEP_COLUMNS), "ValueError: invalid literal"),
+    (rows_to_csv([_sweep_row(kind="bogus")], SWEEP_COLUMNS), "'bogus' is not a valid"),
+], ids=["timings_csv", "n_not_an_integer", "unknown_kind"])
+def test_cli_tradeoff_malformed_sweep_csv_is_usage_error(tmp_path, capsys, sweep_text, error):
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_text(sweep_text)
+    cfg = _write_config(tmp_path, "t.json", {
+        "sweep_csv": str(sweep_csv), "n": 6, "k": 4, "d": 3})
+    out = tmp_path / "tr"
+    assert main(["tradeoff", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad sweep CSV" in err and error in err
+    assert not out.exists()
+
+
+def test_cli_embed_constraints_path_that_is_not_a_string_is_usage_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "embed.json", {"constraints_csv": 5})
+    out = tmp_path / "out"
+    assert main(["embed", "--config", cfg, "--out", str(out)]) == 2
+    assert "cannot read constraints" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("simulate", {"sigma": True}, "sigma must be a number > 0"),
+    ("simulate", {"sigma": "0.5"}, "sigma must be a number > 0"),
+    ("simulate", {"epsilon_grid": [True]}, "flip rate must be a number in [0, 1]"),
+    ("simulate", {"solver": {"lam": True}}, "lam must be a number > 0"),
+    ("simulate", {"solver": {"margin": "1"}}, "margin must be a number > 0"),
+    ("simulate", {"solver": {"step_size": True}}, "step_size must be a number > 0"),
+    ("simulate", {"solver": {"tolerance": False}}, "tolerance must be a number > 0"),
+    ("simulate", {"tradeoff": {"beta": True}}, "beta must be a number >= 0"),
+    ("sparsity", {"sigma": True}, "sigma must be a number > 0"),
+    ("embed", {"solver": {"lam": True}}, "lam must be a number > 0"),
+    ("tradeoff", {"beta_grid": [True, 0.1]}, "beta must be a number >= 0"),
+    ("tradeoff", {"beta_grid": ["0.1"]}, "beta must be a number >= 0"),
+], ids=["sigma_bool", "sigma_str", "flip_rate_bool", "lam_bool", "margin_str",
+        "step_size_bool", "tolerance_bool", "sweep_beta_bool", "sparsity_sigma_bool",
+        "embed_lam_bool", "beta_grid_bool", "beta_grid_str"])
+def test_cli_real_config_values_reject_bools_and_non_numbers(tmp_path, capsys, command,
+                                                             config, message):
+    constraints_csv = tmp_path / "constraints.csv"
+    constraints_csv.write_text(constraints_to_csv(
+        mine_from_labels(soft_labels(generate_dataset(n=4, k=3, d=3, seed=2)))))
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_text(rows_to_csv([_sweep_row()], SWEEP_COLUMNS))
+    required = {"simulate": TINY.to_dict(), "sparsity": {"n": 3, "k": 3, "d": 3},
+                "embed": {"constraints_csv": str(constraints_csv)},
+                "tradeoff": {"sweep_csv": str(sweep_csv), "n": 6, "k": 4, "d": 3}}
+    cfg = _write_config(tmp_path, "c.json", {**required[command], **config})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_tradeoff_writes_an_integer_beta_as_a_float(tmp_path):
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_text(rows_to_csv([_sweep_row()], SWEEP_COLUMNS))
+    cfg = _write_config(tmp_path, "t.json", {
+        "sweep_csv": str(sweep_csv), "n": 6, "k": 4, "d": 3, "beta_grid": [0, 1]})
+    out = tmp_path / "tr"
+    assert main(["tradeoff", "--config", cfg, "--out", str(out)]) == 0
+    table = _read_rows((out / "tradeoff.csv").read_text())
+    assert [row["beta"] for row in table] == ["0.0", "1.0"]
