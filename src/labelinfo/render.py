@@ -6,8 +6,6 @@ on the input rows.
 """
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 _CELL_W, _CELL_H = 56, 34
 _LO_COLOR = (247, 251, 255)
 _HI_COLOR = (8, 48, 107)
@@ -26,10 +24,18 @@ def _cell_color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+def _escape(text: str) -> str:
+    """XML character data: escape &, < and >, as xml.sax.saxutils.escape does.
+
+    saxutils itself is not imported: it pulls in urllib, http, email and ssl.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _text(x, y, s, size=11, anchor="middle", fill="#000000") -> str:
     return (f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" '
             f'font-family="sans-serif" text-anchor="{anchor}" '
-            f'fill="{fill}">{escape(str(s))}</text>')
+            f'fill="{fill}">{_escape(str(s))}</text>')
 
 
 def _format_value(value) -> str:

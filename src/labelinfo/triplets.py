@@ -8,8 +8,11 @@ at most once per mined set.
 Every miner compares nearness scores directly: it emits (anchor, near, far)
 exactly when the anchor's score for `near` is strictly larger than for
 `far`, so ties emit nothing. Mined rows come out in lexicographic
-(anchor, near, far) order by construction, as one C-contiguous int64
-(T, 3) array.
+(anchor, near, far) order by construction, as one C-contiguous int32
+(T, 3) array. A PCA set has 3 * C(m, 3) rows, so int32 halves the memory
+of the program's largest arrays; an index fits as long as m < 2^31. The
+solver widens the indices to intp before it gathers with them, because
+numpy's `take` is several times slower with int32 indices.
 """
 from __future__ import annotations
 
@@ -21,14 +24,14 @@ import numpy as np
 
 from .labels import LabelKind, LabelSet
 
-_EMPTY = np.empty((0, 3), dtype=np.int64)
+_MAX_ITEMS = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
 class ConstraintSet:
     n_points: int
     n_centroids: int
-    triplets: np.ndarray  # (T, 3) int64 rows of (anchor, near, far)
+    triplets: np.ndarray  # (T, 3) int32 rows of (anchor, near, far); see the module docstring
     source_kind: str
     flip_rate: float = 0.0
 
@@ -69,8 +72,9 @@ def mine_from_labels(labels: LabelSet) -> ConstraintSet:
     rows, cols = _nearer(values), _nearer(values.T)
     split = np.count_nonzero(rows)
     # Allocating the kept array before np.nonzero's index arrays lowers peak RSS
-    # when many sets are held at once (155.0 against 156.6 MB on `mining`).
-    triplets = np.empty((split + np.count_nonzero(cols), 3), dtype=np.int64)
+    # when many sets are held at once (155.0 against 156.6 MB on `mining`, with
+    # int64 rows).
+    triplets = np.empty((split + np.count_nonzero(cols), 3), dtype=np.int32)
     np.stack(np.nonzero(rows), axis=1, out=triplets[:split])
     np.stack(np.nonzero(cols), axis=1, out=triplets[split:])
     triplets[:split, 1] += n
@@ -95,7 +99,7 @@ def mine_from_coordinates(labels: LabelSet, n_points: int) -> ConstraintSet:
     nearness = -_squared_distances(coords)
     np.fill_diagonal(nearness, np.nan)  # an anchor is never its own near or far item
     mask = _nearer(nearness)
-    triplets = np.empty((np.count_nonzero(mask), 3), dtype=np.int64)
+    triplets = np.empty((np.count_nonzero(mask), 3), dtype=np.int32)
     np.stack(np.nonzero(mask), axis=1, out=triplets)
     return ConstraintSet(n_points=n_points, n_centroids=m - n_points,
                          triplets=triplets, source_kind=labels.kind.value)
@@ -143,10 +147,10 @@ def apply_noise(constraints: ConstraintSet, epsilon: float, seed: int) -> Constr
         raise ValueError(f"flip rate must lie in [0, 1], got {epsilon}")
     source = constraints.triplets
     rng = np.random.default_rng(seed)
-    flips = rng.random(source.shape[0]) < epsilon
+    flipped = np.flatnonzero(rng.random(source.shape[0]) < epsilon)
     triplets = source.copy()
-    np.copyto(triplets[:, 1], source[:, 2], where=flips)
-    np.copyto(triplets[:, 2], source[:, 1], where=flips)
+    triplets[flipped, 1] = source[flipped, 2]
+    triplets[flipped, 2] = source[flipped, 1]
     return replace(constraints, triplets=triplets, flip_rate=epsilon)
 
 
@@ -160,11 +164,29 @@ def constraints_to_csv(constraints: ConstraintSet) -> str:
 
 
 def constraints_from_csv(text: str) -> ConstraintSet:
+    """Read the format `constraints_to_csv` writes.
+
+    A malformed header, a negative n or k, or a row that is not three
+    integer indices in [0, n + k) is a ValueError.
+    """
     lines = [ln for ln in text.splitlines() if ln]
     if len(lines) < 3 or lines[0] != "n,k,source_kind,flip_rate" or lines[2] != "anchor,near,far":
         raise ValueError("malformed constraint CSV")
     n_str, k_str, kind, flip = lines[1].split(",")
-    rows = [tuple(int(v) for v in ln.split(",")) for ln in lines[3:]]
-    triplets = np.array(rows, dtype=np.int64) if rows else _EMPTY
-    return ConstraintSet(n_points=int(n_str), n_centroids=int(k_str),
-                         triplets=triplets, source_kind=kind, flip_rate=float(flip))
+    n, k = int(n_str), int(k_str)
+    if n < 0 or k < 0 or n + k > _MAX_ITEMS:
+        raise ValueError(f"n and k must be >= 0 with n + k <= {_MAX_ITEMS}, got n={n}, k={k}")
+    m = n + k
+    rows = []
+    for number, line in enumerate(lines[3:], start=1):
+        try:
+            row = [int(v) for v in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != 3 or not all(0 <= v < m for v in row):
+            raise ValueError(f"constraint row {number} is not three integer indices "
+                             f"in [0, {m}): {line!r}")
+        rows.append(row)
+    return ConstraintSet(n_points=n, n_centroids=k,
+                         triplets=np.array(rows, dtype=np.int32).reshape(-1, 3),
+                         source_kind=kind, flip_rate=float(flip))

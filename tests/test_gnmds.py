@@ -111,6 +111,18 @@ def test_solve_matches_reference_loop_bit_for_bit(kind, config):
     assert diagnostics == expected.diagnostics
 
 
+
+def test_solve_gives_the_same_bytes_for_int32_and_int64_indices():
+    """Mined sets are int32; a set built as int64 must solve to the same bytes."""
+    ds = generate_dataset(n=8, k=6, d=4, seed=3)
+    narrow = apply_noise(mine_from_labels(soft_labels(ds)), 0.1, seed=2)
+    assert narrow.triplets.dtype == np.int32
+    wide = ConstraintSet(narrow.n_points, narrow.n_centroids,
+                         narrow.triplets.astype(np.int64), narrow.source_kind)
+    got, expected = solve(narrow), solve(wide)
+    assert got.entries.tobytes() == expected.entries.tobytes()
+    assert got.diagnostics == expected.diagnostics
+
 def test_hinge_subgradient_equals_dense_sum_of_per_triplet_terms():
     rng = np.random.default_rng(4)
     m = 6

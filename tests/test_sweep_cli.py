@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import labelinfo
-from labelinfo import cli, gnmds, sweep
+from labelinfo import cli, gnmds, render, sweep
 from labelinfo.cli import main
 from labelinfo.gnmds import solve
 from labelinfo.labels import LabelKind, soft_labels
@@ -294,6 +294,12 @@ def test_render_curve_panels_svg():
     assert "demo" in svg and "polyline" in svg and "circle" in svg
 
 
+def test_render_escape_matches_saxutils():
+    from xml.sax.saxutils import escape as sax_escape
+    text = "a & b < c > d &amp; <tag> \"q\" 'x'"
+    assert render._escape(text) == sax_escape(text)
+
+
 def _read_rows(text):
     return list(csv.DictReader(io.StringIO(text)))
 
@@ -354,6 +360,15 @@ def test_cli_module_runs_as_main():
                           env=_program_env(), capture_output=True, text=True,
                           check=True, timeout=60)
     assert SweepSpec.from_dict(json.loads(proc.stdout)) == SweepSpec()
+
+
+def test_cli_import_loads_no_network_modules():
+    """xml.sax.saxutils would pull in urllib.request and ssl at start-up."""
+    code = ("import sys, labelinfo.cli; "
+            "print(sorted(m for m in ('ssl', 'urllib.request') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_program_env(),
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -763,6 +778,33 @@ def test_cli_embed_constraints_path_that_is_not_a_string_is_usage_error(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("header, row, error", [
+    ("2,1", "0,1,99999999999999999999", "constraint row 2 is not three integer indices in [0, 3)"),
+    ("2,1", "0,1,7", "constraint row 2 is not three integer indices in [0, 3)"),
+    ("2,1", "0,1,-1", "constraint row 2"),
+    ("2,1", "0,1", "constraint row 2"),
+    ("2,1", "0,1,2,0", "constraint row 2"),
+    ("2,1", "0,1,x", "constraint row 2"),
+    ("2,1", "0,1.0,2", "constraint row 2"),
+    ("-1,4", "0,1,2", "n and k must be >= 0"),
+    ("2,-1", "0,1,2", "n and k must be >= 0"),
+    ("2147483647,1", "0,1,2", "n and k must be >= 0 with n + k <= 2147483647"),
+], ids=["huge_index", "index_past_m", "negative_index", "two_fields", "four_fields",
+        "not_a_number", "float_index", "negative_n", "negative_k", "m_past_int32"])
+def test_cli_embed_malformed_constraints_csv_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                           header, row, error):
+    constraints_csv = tmp_path / "constraints.csv"
+    constraints_csv.write_text(f"n,k,source_kind,flip_rate\n{header},soft,0.0\n"
+                               f"anchor,near,far\n1,0,2\n{row}\n")
+    cfg = _write_config(tmp_path, "embed.json", {"constraints_csv": str(constraints_csv)})
+    monkeypatch.setattr(cli, "solve", lambda *_: pytest.fail("solved a malformed set"))
+    out = tmp_path / "out"
+    assert main(["embed", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad constraints CSV" in err and error in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, config, message", [
     ("simulate", {"sigma": True}, "sigma must be a number > 0"),
     ("simulate", {"sigma": "0.5"}, "sigma must be a number > 0"),
@@ -776,9 +818,18 @@ def test_cli_embed_constraints_path_that_is_not_a_string_is_usage_error(tmp_path
     ("embed", {"solver": {"lam": True}}, "lam must be a number > 0"),
     ("tradeoff", {"beta_grid": [True, 0.1]}, "beta must be a number >= 0"),
     ("tradeoff", {"beta_grid": ["0.1"]}, "beta must be a number >= 0"),
+    # Python's json reads Infinity and NaN
+    ("simulate", {"sigma": float("inf")}, "sigma must be a number > 0, got inf"),
+    ("simulate", {"sigma": float("nan")}, "sigma must be a number > 0, got nan"),
+    ("simulate", {"solver": {"lam": float("inf")}}, "lam must be a number > 0, got inf"),
+    ("simulate", {"solver": {"tolerance": float("inf")}}, "tolerance must be a number > 0"),
+    ("simulate", {"tradeoff": {"beta": float("inf")}}, "beta must be a number >= 0, got inf"),
+    ("embed", {"solver": {"margin": float("inf")}}, "margin must be a number > 0, got inf"),
+    ("tradeoff", {"beta_grid": [0.1, float("inf")]}, "beta must be a number >= 0, got inf"),
 ], ids=["sigma_bool", "sigma_str", "flip_rate_bool", "lam_bool", "margin_str",
         "step_size_bool", "tolerance_bool", "sweep_beta_bool", "sparsity_sigma_bool",
-        "embed_lam_bool", "beta_grid_bool", "beta_grid_str"])
+        "embed_lam_bool", "beta_grid_bool", "beta_grid_str", "sigma_inf", "sigma_nan",
+        "lam_inf", "tolerance_inf", "sweep_beta_inf", "embed_margin_inf", "beta_grid_inf"])
 def test_cli_real_config_values_reject_bools_and_non_numbers(tmp_path, capsys, command,
                                                              config, message):
     constraints_csv = tmp_path / "constraints.csv"

@@ -169,12 +169,12 @@ def _mine(labels, n_points):
 def test_miners_match_reference_loops_bit_for_bit(labels, n_points):
     got, expected = _mine(labels, n_points)
     t = got.triplets
-    assert t.dtype == np.int64 and t.flags.c_contiguous and t.shape == expected.shape
+    assert t.dtype == np.int32 and t.flags.c_contiguous and t.shape == expected.shape
     assert np.array_equal(t, expected)
     for epsilon in (0.0, 0.05, 0.5, 1.0):
         for seed in (0, 11):
             noisy = apply_noise(got, epsilon, seed).triplets
-            assert noisy.dtype == np.int64 and noisy.flags.c_contiguous
+            assert noisy.dtype == np.int32 and noisy.flags.c_contiguous
             assert np.array_equal(noisy, _reference_noise(expected, epsilon, seed))
 
 
