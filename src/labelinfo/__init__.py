@@ -11,9 +11,9 @@ from .labels import (LabelKind, LabelSet, hard_labels, soft_labels,
 from .triplets import (ConstraintSet, mine_from_labels, mine_from_coordinates,
                        count_hard, count_soft, information_ratio, apply_noise)
 from .gnmds import GramMatrix, SolverConfig, solve, project_psd, extract_embedding
-from .metrics import PcaCurve, spearman, recovery_score, effective_dimensionality
+from .metrics import spearman, recovery_score
 from .costbenefit import (SignalOption, TradeoffConfig, UtilityKind, cost,
-                          utility, loss, indifference_beta, optimize_sparsity)
+                          utility, loss, optimize_sparsity)
 from .sweep import SignalSpec, SweepSpec, run_sweep, derive_seed
 
 __all__ = [
@@ -23,8 +23,8 @@ __all__ = [
     "ConstraintSet", "mine_from_labels", "mine_from_coordinates",
     "count_hard", "count_soft", "information_ratio", "apply_noise",
     "GramMatrix", "SolverConfig", "solve", "project_psd", "extract_embedding",
-    "PcaCurve", "spearman", "recovery_score", "effective_dimensionality",
+    "spearman", "recovery_score",
     "SignalOption", "TradeoffConfig", "UtilityKind", "cost", "utility", "loss",
-    "indifference_beta", "optimize_sparsity",
+    "optimize_sparsity",
     "SignalSpec", "SweepSpec", "run_sweep", "derive_seed",
 ]

@@ -1,6 +1,10 @@
 """Command-line harness: seeded sweeps, closed-form analysis, embedding,
 cost-benefit tables, and sparsity curves, all emitted as CSV/JSON/SVG.
 
+Each command returns its files (name -> text), the spec its manifest echoes
+(None for no manifest: `defaults`, a failed `embed`) and its exit status;
+`main` alone writes them.
+
 Exit codes: 0 success, 1 any cell failure (per-cell status still written),
 2 usage/config error.
 """
@@ -19,7 +23,7 @@ import numpy as np
 from . import __version__, costbenefit, render, sweep, triplets
 from .costbenefit import TradeoffConfig, UtilityKind
 from .gnmds import SolverConfig, check_count, extract_embedding, solve
-from .labels import PARTIAL_KINDS, LabelKind
+from .labels import CLASS_TRUNCATIONS, PARTIAL_KINDS, LabelKind
 
 _CURVE_KINDS = tuple(kind.value for kind in PARTIAL_KINDS)
 
@@ -51,21 +55,6 @@ def _load_config(path: str | None, what: str, known, required=()) -> dict:
     return data
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(outdir: Path, command: str, spec_dict: dict,
-                    wall_time: float, workers: int | None = None) -> None:
-    manifest = {"command": command, "tool_version": __version__, "spec": spec_dict}
-    if workers is not None:
-        manifest["workers"] = workers
-    manifest["wall_time_seconds"] = wall_time
-    (outdir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
 def _sweep_spec(args, what: str, known, to_sweep_config=dict) -> sweep.SweepSpec:
     """The command's config, turned into a sweep config; --seed replaces its base seed."""
     config = _load_config(args.config, what, known)
@@ -78,26 +67,19 @@ def _sweep_spec(args, what: str, known, to_sweep_config=dict) -> sweep.SweepSpec
         raise UsageError(f"bad {what}: {exc}") from exc
 
 
-def _run_sweep_command(args, command: str, spec: sweep.SweepSpec, rows_csv: str,
-                       plots) -> int:
-    """Run the sweep; write its rows, timings.csv, `plots(rows)` files and the manifest."""
+def _run_sweep_command(args, command: str, spec: sweep.SweepSpec, rows_csv: str, plots):
+    """Run the sweep; its files are the rows, timings.csv and `plots(rows)`."""
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
-    outdir = _outdir(args)
-    start = time.perf_counter()
     rows, times = sweep.run_sweep(spec, workers=args.workers)
-    (outdir / rows_csv).write_text(render.rows_to_csv(rows, sweep.SWEEP_COLUMNS))
-    (outdir / "timings.csv").write_text(sweep.timings_to_csv(rows, times))
-    for name, text in plots(rows).items():
-        (outdir / name).write_text(text)
-    _write_manifest(outdir, command, spec.to_dict(),
-                    time.perf_counter() - start, args.workers)
     failed = [row for row in rows if row["status"] != "ok"]
     if failed:
         first = ", ".join(f"{c}={failed[0][c]}" for c in sweep.CELL_COLUMNS + ("status",))
         print(f"{command}: {len(failed)}/{len(rows)} cells failed; first: {first}",
               file=sys.stderr)
-    return 1 if failed else 0
+    files = {rows_csv: render.rows_to_csv(rows, sweep.SWEEP_COLUMNS),
+             "timings.csv": sweep.timings_to_csv(rows, times), **plots(rows)}
+    return files, spec.to_dict(), 1 if failed else 0
 
 
 def _rho_heatmap(rows) -> dict:
@@ -108,13 +90,13 @@ def _rho_heatmap(rows) -> dict:
     return {"heatmap_rho_kind.svg": svg, "heatmap_rho_kind.csv": pivot_csv}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     known = [f.name for f in dataclasses.fields(sweep.SweepSpec)]
     return _run_sweep_command(args, "simulate", _sweep_spec(args, "sweep config", known),
                               "sweep.csv", _rho_heatmap)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args):
     config = _load_config(args.config, "analyze config", ("n_grid", "k_grid"))
     try:
         n_grid = tuple(config.get("n_grid", sweep.SweepSpec().n_grid))
@@ -134,20 +116,14 @@ def cmd_analyze(args) -> int:
                                      triplets.information_ratio(count, n, k)})
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad analyze config: {exc}") from exc
-    outdir = _outdir(args)
-    start = time.perf_counter()
-    (outdir / "analysis.csv").write_text(
-        render.rows_to_csv(rows, ("n", "k", "kind", "information_ratio")))
     svg, pivot_csv = render.render_heatmap(rows, "information_ratio")
-    (outdir / "heatmap_information_ratio_kind.svg").write_text(svg)
-    (outdir / "heatmap_information_ratio_kind.csv").write_text(pivot_csv)
-    _write_manifest(outdir, "analyze",
-                    {"n_grid": list(n_grid), "k_grid": list(k_grid)},
-                    time.perf_counter() - start)
-    return 0
+    return ({"analysis.csv": render.rows_to_csv(rows, ("n", "k", "kind", "information_ratio")),
+             "heatmap_information_ratio_kind.svg": svg,
+             "heatmap_information_ratio_kind.csv": pivot_csv},
+            {"n_grid": list(n_grid), "k_grid": list(k_grid)}, 0)
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args):
     config = _load_config(args.config, "embed config",
                           ("constraints_csv", "solver", "embedding_rank"), ("constraints_csv",))
     try:
@@ -164,21 +140,16 @@ def cmd_embed(args) -> int:
             check_count("embedding_rank", rank, 1, constraints.m)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad embed config: {exc}") from exc
-    outdir = _outdir(args)
-    start = time.perf_counter()
     try:
         gram = solve(constraints, solver)
     except (ValueError, IndexError) as exc:
         print(f"embed: solve failed: {exc}", file=sys.stderr)
-        return 1
+        return {}, None, 1
+    files = {"gram.csv": render.matrix_to_csv(gram.entries),
+             "diagnostics.json": json.dumps(gram.diagnostics, indent=2) + "\n"}
     if rank is not None:
-        (outdir / "embedding.csv").write_text(
-            render.matrix_to_csv(extract_embedding(gram, rank)))
-    (outdir / "gram.csv").write_text(render.matrix_to_csv(gram.entries))
-    (outdir / "diagnostics.json").write_text(
-        json.dumps(gram.diagnostics, indent=2) + "\n")
-    _write_manifest(outdir, "embed", config, time.perf_counter() - start)
-    return 0
+        files["embedding.csv"] = render.matrix_to_csv(extract_embedding(gram, rank))
+    return files, config, 0
 
 
 def _options_from_sweep_rows(rows, n: int, k: int, d: int):
@@ -191,7 +162,7 @@ def _options_from_sweep_rows(rows, n: int, k: int, d: int):
             for (kind, k_hat), (mean_rho, _) in means.items()]
 
 
-def cmd_tradeoff(args) -> int:
+def cmd_tradeoff(args):
     required = ("sweep_csv", "n", "k", "d")
     config = _load_config(args.config, "tradeoff config",
                           required + ("beta_grid", "utility_kind"), required)
@@ -216,12 +187,9 @@ def cmd_tradeoff(args) -> int:
         options = _options_from_sweep_rows(rows, n, k, d)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad sweep CSV: {type(exc).__name__}: {exc}") from exc
-    if not any(o.kind in (LabelKind.SPARSE_SOFT, LabelKind.TOP_CLASS)
-               for o in options):
+    if not any(o.kind in CLASS_TRUNCATIONS for o in options):
         raise UsageError("sweep has no sparse/top-class rows for this cell; "
                          "run a sparsity sweep first")
-    outdir = _outdir(args)
-    start = time.perf_counter()
     table_rows = []
     panels = []
     panel_betas = {beta_grid[round(i * (len(beta_grid) - 1) / 3)]
@@ -235,12 +203,9 @@ def cmd_tradeoff(args) -> int:
             best = costbenefit.optimize_sparsity(options, cfg)
             panel["marker"] = (best.k_hat, costbenefit.loss(best, cfg), best.kind.value)
             panels.append(panel)
-    (outdir / "tradeoff.csv").write_text(costbenefit.tradeoff_to_csv(table_rows))
-    (outdir / "tradeoff.svg").write_text(
-        render.render_curve_panels(panels, ylabel="loss"))
-    _write_manifest(outdir, "tradeoff", {**config, "beta_grid": beta_grid},
-                    time.perf_counter() - start)
-    return 0
+    return ({"tradeoff.csv": costbenefit.tradeoff_to_csv(table_rows),
+             "tradeoff.svg": render.render_curve_panels(panels, ylabel="loss")},
+            {**config, "beta_grid": beta_grid}, 0)
 
 
 _SPARSITY_KEYS = ("n", "k", "d", "k_hat_grid", "reps", "sigma", "base_seed", "solver")
@@ -252,9 +217,6 @@ def _sparsity_sweep_config(config: dict) -> dict:
     n, k, d = config.get("n", 20), config.get("k", 20), config.get("d", 5)
     if "k_hat_grid" in config:
         k_hat_grid = sorted(set(config["k_hat_grid"]))
-        outside = [v for v in k_hat_grid if not 1 <= v <= k]
-        if outside:
-            raise ValueError(f"k_hat_grid value {outside[0]} lies outside [1, {k}]")
     else:
         k_hat_grid = [v for v in (1, 2, 3, 5, 10) if v <= k]
     if not k_hat_grid:
@@ -277,17 +239,15 @@ def _rho_curves(rows) -> dict:
     return {"sparsity.svg": render.render_curve_panels([panel], ylabel="rho")}
 
 
-def cmd_sparsity(args) -> int:
+def cmd_sparsity(args):
     spec = _sweep_spec(args, "sparsity config", _SPARSITY_KEYS, _sparsity_sweep_config)
     return _run_sweep_command(args, "sparsity", spec, "sparsity.csv", _rho_curves)
 
 
-def cmd_defaults(args) -> int:
+def cmd_defaults(args):
     text = json.dumps(sweep.SweepSpec().to_dict(), indent=2)
     print(text)
-    if args.out != ".":
-        (_outdir(args) / "defaults.json").write_text(text + "\n")
-    return 0
+    return ({} if args.out == "." else {"defaults.json": text + "\n"}), None, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,10 +279,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command, then write its files and run_manifest.json into --out."""
+    args = build_parser().parse_args(argv)
+    out = Path(args.out)
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        if out.exists() and not out.is_dir():
+            raise UsageError(f"--out {args.out} is not a directory")
+        files, spec, status = args.func(args)
+        if spec is not None:
+            manifest = {"command": args.command, "tool_version": __version__, "spec": spec}
+            if "workers" in args:
+                manifest["workers"] = args.workers
+            manifest["wall_time_seconds"] = time.perf_counter() - start
+            files["run_manifest.json"] = json.dumps(manifest, indent=2) + "\n"
+        try:
+            if files:
+                out.mkdir(parents=True, exist_ok=True)
+            for name, text in files.items():
+                (out / name).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write outputs: {exc}") from exc
+        return status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -101,15 +101,6 @@ def loss(option: SignalOption, config: TradeoffConfig) -> float:
     return config.beta * option.cost_units - utility(option.rho, config)
 
 
-def indifference_beta(a: SignalOption, b: SignalOption,
-                      utility_kind: UtilityKind = UtilityKind.LINEAR) -> float:
-    """The beta at which two options' losses tie: (u_a - u_b) / (c_a - c_b)."""
-    if a.cost_units == b.cost_units:
-        raise ValueError("indifference point undefined for equal costs")
-    cfg = TradeoffConfig(beta=0.0, utility_kind=utility_kind)
-    return (utility(a.rho, cfg) - utility(b.rho, cfg)) / (a.cost_units - b.cost_units)
-
-
 def optimize_sparsity(options, config: TradeoffConfig) -> SignalOption:
     """Minimal-loss option; ties break toward smaller cost, then smaller k_hat."""
     options = list(options)

@@ -27,8 +27,10 @@ class LabelKind(enum.Enum):
     PCA_COORDS = "pca"
 
 
-# Kinds that keep k_hat components per point, in the order sparsity sweeps run them.
-PARTIAL_KINDS = (LabelKind.SPARSE_SOFT, LabelKind.TOP_CLASS, LabelKind.PCA_COORDS)
+# Kinds that keep k_hat components per point, in the order sparsity sweeps run them;
+# the first two keep k_hat of a point's k class scores, so need k_hat <= k.
+CLASS_TRUNCATIONS = (LabelKind.SPARSE_SOFT, LabelKind.TOP_CLASS)
+PARTIAL_KINDS = CLASS_TRUNCATIONS + (LabelKind.PCA_COORDS,)
 
 # Equal-frequency bins per marginal in the top-class mutual-information estimate.
 _MI_BINS = 8

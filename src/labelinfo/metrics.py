@@ -1,11 +1,6 @@
-"""Recovery-quality metrics.
-
-Tie-corrected Spearman correlation, the recovery score built on it, and
-effective dimensionality read off a PCA curve.
-"""
+"""Recovery-quality metrics: tie-corrected Spearman correlation and the
+recovery score built on it."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,31 +49,3 @@ def recovery_score(gram: GramMatrix, truth: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: gram {gram.entries.shape}, truth {truth.shape}")
     iu = np.triu_indices(gram.size, 1)
     return spearman(gram.entries[iu], truth[iu])
-
-
-@dataclass(frozen=True)
-class PcaCurve:
-    """(k_hat, rho) pairs with strictly increasing k_hat."""
-    points: tuple
-
-    def __post_init__(self):
-        pts = tuple((int(kh), float(r)) for kh, r in self.points)
-        ks = [kh for kh, _ in pts]
-        if any(b <= a for a, b in zip(ks, ks[1:])):
-            raise ValueError("k_hat values must be strictly increasing")
-        object.__setattr__(self, "points", pts)
-
-
-def effective_dimensionality(rho_target: float, curve: PcaCurve):
-    """Smallest k_hat on the curve reaching rho_target.
-
-    Returns (k_hat, saturated); saturated=True means no point reached the
-    target and the largest k_hat is reported instead. The curve need not be
-    monotone (solver noise), so this scans for the first crossing.
-    """
-    if not curve.points:
-        raise ValueError("curve is empty")
-    for k_hat, rho in curve.points:
-        if rho >= rho_target:
-            return k_hat, False
-    return curve.points[-1][0], True

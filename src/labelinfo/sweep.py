@@ -20,9 +20,9 @@ import numpy as np
 from . import costbenefit, triplets
 from .costbenefit import TradeoffConfig, UtilityKind
 from .gnmds import SolverConfig, check_count, check_real, solve
-from .labels import (PARTIAL_KINDS, LabelKind, LabelSet, hard_labels, pca_encode,
-                     smooth_labels, soft_labels, sparsify_labels, topclass_labels,
-                     typicality_labels)
+from .labels import (CLASS_TRUNCATIONS, PARTIAL_KINDS, LabelKind, LabelSet, hard_labels,
+                     pca_encode, smooth_labels, soft_labels, sparsify_labels,
+                     topclass_labels, typicality_labels)
 from .latentgen import LatentDataset, generate_dataset, similarity_matrix
 from .metrics import recovery_score
 from .render import rows_to_csv
@@ -117,6 +117,14 @@ class SweepSpec:
         check_real("sigma", self.sigma)
         for eps in self.epsilon_grid:
             check_real("flip rate", eps, "in [0, 1]", lambda e: 0 <= e <= 1)
+        # a signal that some cell cannot build would only fill rows with errors
+        k, n = min(self.k_grid), min(self.n_grid)
+        for signal in self.signals:
+            if signal.kind in CLASS_TRUNCATIONS and signal.k_hat > k:
+                raise ValueError(f"signal {signal.kind.value} k_hat {signal.k_hat} exceeds "
+                                 f"the smallest k in k_grid, {k}")
+            if signal.kind is LabelKind.TOP_CLASS and n < 3:
+                raise ValueError(f"signal topclass needs n >= 3, got n_grid value {n}")
 
     def cells(self):
         """Deterministic cell order; one result row per cell."""

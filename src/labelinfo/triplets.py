@@ -154,17 +154,9 @@ def apply_noise(constraints: ConstraintSet, epsilon: float, seed: int) -> Constr
     return replace(constraints, triplets=triplets, flip_rate=epsilon)
 
 
-def constraints_to_csv(constraints: ConstraintSet) -> str:
-    lines = ["n,k,source_kind,flip_rate",
-             f"{constraints.n_points},{constraints.n_centroids},"
-             f"{constraints.source_kind},{repr(constraints.flip_rate)}",
-             "anchor,near,far"]
-    lines.extend(f"{a},{b},{c}" for a, b, c in constraints.triplets)
-    return "\n".join(lines) + "\n"
-
-
 def constraints_from_csv(text: str) -> ConstraintSet:
-    """Read the format `constraints_to_csv` writes.
+    """Read a constraint set: the header `n,k,source_kind,flip_rate`, its one
+    row of values, the header `anchor,near,far`, then one row per triplet.
 
     A malformed header, a negative n or k, or a row that is not three
     integer indices in [0, n + k) is a ValueError.

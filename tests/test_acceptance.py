@@ -24,12 +24,12 @@ import numpy as np
 import pytest
 
 import conftest
-from labelinfo.costbenefit import (SignalOption, TradeoffConfig,
-                                   indifference_beta, optimize_sparsity)
+from conftest import PcaCurve, effective_dimensionality, indifference_beta
+from labelinfo.costbenefit import SignalOption, TradeoffConfig, optimize_sparsity
 from labelinfo.gnmds import solve
 from labelinfo.labels import LabelKind, hard_labels, soft_labels
 from labelinfo.latentgen import generate_dataset, similarity_matrix
-from labelinfo.metrics import PcaCurve, effective_dimensionality, recovery_score
+from labelinfo.metrics import recovery_score
 from labelinfo.render import rows_to_csv
 from labelinfo.sweep import SWEEP_COLUMNS, SignalSpec, SweepSpec, run_sweep
 from labelinfo.triplets import (ConstraintSet, count_hard, count_soft,

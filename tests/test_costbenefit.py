@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from conftest import indifference_beta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelinfo.costbenefit import (SignalOption, TradeoffConfig, UtilityKind,
-                                   cost, indifference_beta, loss,
+                                   cost, loss,
                                    optimize_sparsity, tradeoff_table,
                                    tradeoff_to_csv, utility)
 from labelinfo.labels import LabelKind

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from conftest import PcaCurve, effective_dimensionality
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelinfo.gnmds import GramMatrix
 from labelinfo.latentgen import generate_dataset, similarity_matrix
-from labelinfo.metrics import PcaCurve, effective_dimensionality, recovery_score, spearman
+from labelinfo.metrics import recovery_score, spearman
 
 
 def test_spearman_perfect_and_reversed():

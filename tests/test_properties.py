@@ -5,17 +5,16 @@ whole file stays well under the time budget.
 """
 import numpy as np
 import pytest
-from conftest import satisfied_share
+from conftest import PcaCurve, effective_dimensionality, indifference_beta, satisfied_share
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelinfo.costbenefit import (SignalOption, TradeoffConfig, indifference_beta,
-                                   loss, optimize_sparsity)
+from labelinfo.costbenefit import SignalOption, TradeoffConfig, loss, optimize_sparsity
 from labelinfo.gnmds import SolverConfig, solve
 from labelinfo.labels import (LabelKind, LabelSet, hard_labels, smooth_labels,
                               soft_labels, sparsify_labels, topclass_labels)
 from labelinfo.latentgen import generate_dataset, similarity_matrix
-from labelinfo.metrics import PcaCurve, effective_dimensionality, spearman
+from labelinfo.metrics import spearman
 from labelinfo.sweep import SignalSpec, SweepSpec, run_sweep
 from labelinfo.triplets import (apply_noise, count_hard, count_soft, information_ratio,
                                 mine_from_labels)

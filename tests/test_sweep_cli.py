@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import constraints_to_csv
 
 import labelinfo
 from labelinfo import cli, gnmds, render, sweep
@@ -21,7 +22,7 @@ from labelinfo.render import (curve_panel, pivot_rows, render_curve_panels, rend
 from labelinfo.sweep import (SWEEP_COLUMNS, SignalSpec, SweepSpec, _single_threaded_blas,
                              build_labels, derive_seed, evaluate_cell, mine_constraints,
                              run_sweep, timings_to_csv)
-from labelinfo.triplets import constraints_to_csv, mine_from_labels
+from labelinfo.triplets import mine_from_labels
 
 TINY = SweepSpec(n_grid=(3,), k_grid=(4,), d_grid=(3,),
                  signals=(SignalSpec(LabelKind.HARD), SignalSpec(LabelKind.SOFT)),
@@ -520,7 +521,7 @@ def test_cli_sparsity_k_hat_grid_range(tmp_path, capsys):
         "n": 4, "k": 3, "d": 5, "k_hat_grid": [2, 5], "reps": 1})
     out = tmp_path / "outside"
     assert main(["sparsity", "--config", outside, "--out", str(out)]) == 2
-    assert "k_hat_grid value 5" in capsys.readouterr().err
+    assert "signal sparse k_hat 5 exceeds the smallest k in k_grid, 3" in capsys.readouterr().err
     assert not (out / "sparsity.csv").exists()
     # the built-in grid (1, 2, 3, 5, 10) is clipped to k
     default = _write_config(tmp_path, "default.json", {
@@ -856,3 +857,80 @@ def test_cli_tradeoff_writes_an_integer_beta_as_a_float(tmp_path):
     assert main(["tradeoff", "--config", cfg, "--out", str(out)]) == 0
     table = _read_rows((out / "tradeoff.csv").read_text())
     assert [row["beta"] for row in table] == ["0.0", "1.0"]
+
+
+def _command_argv(tmp_path, command):
+    """A small accepted run of `command`, without --out."""
+    constraints_csv = tmp_path / "constraints.csv"
+    constraints_csv.write_text(constraints_to_csv(
+        mine_from_labels(soft_labels(generate_dataset(n=4, k=3, d=3, seed=2)))))
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_text(rows_to_csv([_sweep_row()], SWEEP_COLUMNS))
+    configs = {"simulate": TINY.to_dict(),
+               "sparsity": {"n": 3, "k": 3, "d": 3, "k_hat_grid": [1], "reps": 1,
+                            "solver": {"max_iterations": 50}},
+               "analyze": {"n_grid": [3], "k_grid": [4]},
+               "embed": {"constraints_csv": str(constraints_csv),
+                         "solver": {"max_iterations": 50}},
+               "tradeoff": {"sweep_csv": str(sweep_csv), "n": 6, "k": 4, "d": 3}}
+    if command == "defaults":
+        return [command]
+    return [command, "--config", _write_config(tmp_path, f"{command}.json", configs[command])]
+
+
+_COMMANDS = ("simulate", "sparsity", "analyze", "embed", "tradeoff", "defaults")
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_cli_out_that_is_not_a_directory_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    argv = _command_argv(tmp_path, command)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "run_sweep", lambda *_, **__: pytest.fail("ran a cell"))
+        patch.setattr(cli, "solve", lambda *_: pytest.fail("solved"))
+        assert main(argv + ["--out", str(blocker)]) == 2
+    assert f"error: --out {blocker} is not a directory" in capsys.readouterr().err
+    # a directory that cannot be made fails only when the outputs are written
+    assert main(argv + ["--out", str(blocker / "sub")]) == 2
+    assert "error: cannot write outputs:" in capsys.readouterr().err
+    assert blocker.read_text() == "keep"
+
+
+def test_cli_manifest_is_written_by_every_command_but_defaults(tmp_path):
+    for command in _COMMANDS:
+        out = tmp_path / f"{command}-out"
+        assert main(_command_argv(tmp_path, command) + ["--out", str(out)]) == 0
+        if command == "defaults":
+            assert sorted(p.name for p in out.iterdir()) == ["defaults.json"]
+            continue
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        workers = ["workers"] if command in ("simulate", "sparsity") else []
+        assert list(manifest) == ["command", "tool_version", "spec", *workers,
+                                  "wall_time_seconds"]
+        assert manifest["command"] == command
+        assert manifest["tool_version"] == labelinfo.__version__
+
+
+@pytest.mark.parametrize("grids, signal, message", [
+    ({"k_grid": [3]}, {"kind": "sparse", "k_hat": 5},
+     "signal sparse k_hat 5 exceeds the smallest k in k_grid, 3"),
+    ({"k_grid": [6, 3]}, {"kind": "topclass", "k_hat": 5},
+     "signal topclass k_hat 5 exceeds the smallest k in k_grid, 3"),
+    ({"n_grid": [4, 2]}, {"kind": "topclass", "k_hat": 1},
+     "signal topclass needs n >= 3, got n_grid value 2"),
+], ids=["sparse_k_hat", "topclass_k_hat", "topclass_n"])
+def test_sweep_rejects_partial_signals_the_grid_cannot_build(tmp_path, capsys, grids, signal,
+                                                            message):
+    config = {"n_grid": [3], "k_grid": [4], "d_grid": [3], "reps": 1, **grids,
+              "signals": [{"kind": "hard"}, signal]}
+    with pytest.raises(ValueError, match=message):
+        SweepSpec.from_dict(config)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_config(tmp_path, "c.json", config),
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    # PCA k_hat may exceed k, and a sparse label needs no third point
+    SweepSpec.from_dict({**config, "signals": [{"kind": "pca", "k_hat": 5}]})
+    SweepSpec.from_dict({**config, "n_grid": [2], "signals": [{"kind": "sparse", "k_hat": 1}]})

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import satisfied_share
+from conftest import constraints_to_csv, satisfied_share
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,9 +11,8 @@ from labelinfo.labels import (LabelKind, LabelSet, hard_labels, pca_encode,
                               topclass_labels, typicality_labels)
 from labelinfo.latentgen import generate_dataset, similarity_matrix
 from labelinfo.triplets import (ConstraintSet, apply_noise, constraints_from_csv,
-                                constraints_to_csv, count_hard, count_soft,
-                                information_ratio, mine_from_coordinates,
-                                mine_from_labels)
+                                count_hard, count_soft, information_ratio,
+                                mine_from_coordinates, mine_from_labels)
 
 _EMPTY = np.empty((0, 3), dtype=np.int64)
 
