@@ -5,7 +5,9 @@ Sweeps sparse, top-class and PCA signals over a k_hat grid at a single
 (n, k, d) cell, renders recovery-vs-k_hat curves with hard/soft reference
 lines, then feeds the same rows into the beta tradeoff to find the
 preferred signal at each annotation price. Prints mean recovery per signal
-and budget, and the preferred option along the beta grid.
+and budget, and the preferred option along the beta grid. The sparsity run
+writes into --out and the tradeoff run into --out/tradeoff, so each keeps its
+own run_manifest.json.
 """
 import argparse
 import csv
@@ -54,12 +56,12 @@ def main() -> int:
         "sweep_csv": str(out / "sparsity.csv"),
         "n": args.n, "k": args.k, "d": args.d,
     }, indent=2) + "\n")
-    rc = cli.main(["tradeoff", "--config", str(tradeoff_config), "--out", str(out)])
+    rc = cli.main(["tradeoff", "--config", str(tradeoff_config), "--out", str(out / "tradeoff")])
     if rc != 0:
         return rc
 
     preferred: dict = {}
-    with open(out / "tradeoff.csv") as fh:
+    with open(out / "tradeoff" / "tradeoff.csv") as fh:
         for row in csv.DictReader(fh):
             if row["preferred"] == "1":
                 preferred[float(row["beta"])] = (row["kind"], row["k_hat"])

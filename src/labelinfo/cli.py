@@ -135,7 +135,7 @@ def cmd_embed(args):
         raise UsageError(f"bad constraints CSV: {exc}") from exc
     rank = config.get("embedding_rank")
     try:
-        solver = SolverConfig(**config.get("solver", {}))
+        solver = sweep.from_config(SolverConfig, config.get("solver", {}), "solver config")
         if rank is not None:
             check_count("embedding_rank", rank, 1, constraints.m)
     except (TypeError, ValueError) as exc:
@@ -181,6 +181,8 @@ def cmd_tradeoff(args):
         # an integer beta is written as a float
         configs = [dataclasses.replace(c, beta=float(c.beta)) for c in configs]
         beta_grid = [c.beta for c in configs]
+        if not beta_grid:
+            raise ValueError("beta_grid must be non-empty")
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad tradeoff config: {exc}") from exc
     try:
@@ -284,8 +286,13 @@ def main(argv=None) -> int:
     out = Path(args.out)
     start = time.perf_counter()
     try:
-        if out.exists() and not out.is_dir():
-            raise UsageError(f"--out {args.out} is not a directory")
+        try:  # a directory that cannot be made is caught before any work
+            existing = next(path for path in (out, *out.parents) if path.exists())
+        except OSError as exc:
+            raise UsageError(f"cannot use --out: {exc}") from exc
+        if not existing.is_dir():
+            raise UsageError(f"--out {args.out} is not a directory" if existing == out
+                             else f"--out {args.out} lies below {existing}, not a directory")
         files, spec, status = args.func(args)
         if spec is not None:
             manifest = {"command": args.command, "tool_version": __version__, "spec": spec}

@@ -11,12 +11,12 @@ cone, then double-centering (squared distances are centering-invariant, so
 this only removes the translation gauge and can only shrink the trace term).
 The best iterate seen is returned, so the reported final objective never
 exceeds the initial one; diagnostics["stop_reason"] says which rule ended the
-run ("tolerance", "min_step" or "max_iterations").
+run ("tolerance" or "max_iterations").
 
 A run stops on "tolerance" when the best objective has fallen by less than
-`tolerance` (relative) over the last `_WINDOW` iterations. The default of
-1e-4 is set by recovery, which settles long before the objective stops
-falling. Under 1e-6, 31 of the 470 solves in the acceptance battery's
+`tolerance` (relative) over the last `_WINDOW` iterations, as it does in a
+stall. The default of 1e-4 is set by recovery, which settles long before the
+objective stops falling. Under 1e-6, 31 of the 470 solves in the battery's
 few-shot and sparsity sweeps, and 64 of the 288 in its effective-dimension
 check, ran to the 2,000-iteration cap, so their rho depended on the cap.
 Under 1e-4 every one of them stops on the tolerance rule, after 56% as many
@@ -43,11 +43,10 @@ from .triplets import ConstraintSet
 # tolerance of 1e-4 a solve stops once its best objective falls by under
 # 0.01% per 10 iterations; why 1e-4 is in the module docstring.
 _WINDOW = 10
-_MIN_STEP = 1e-18
 # Step growth on a non-increasing move. The subgradient iterate must keep
 # moving through kinks of the hinge (strict descent stalls far from the
-# optimum), so steps are always taken; the step size anneals by halving on
-# increases and regrowing on successes, and the best iterate is returned.
+# optimum), so steps are always taken: the step starts at 1 / |constraints|,
+# halves on an increase and grows on a success; the best iterate is returned.
 _GROW = 1.2
 
 
@@ -77,15 +76,12 @@ def check_real(name: str, value, bounds: str = "> 0", holds=lambda v: v > 0) -> 
 class SolverConfig:
     margin: float = 1.0
     lam: float = 0.05
-    step_size: float | None = None  # None -> 1 / |constraints|
     max_iterations: int = 2000
     tolerance: float = 1e-4
 
     def __post_init__(self):
         for name in ("margin", "lam", "tolerance"):
             check_real(name, getattr(self, name))
-        if self.step_size is not None:
-            check_real("step_size", self.step_size)
         check_count("max_iterations", self.max_iterations, 1)
 
 
@@ -176,7 +172,7 @@ def _solve(constraints: ConstraintSet, config: SolverConfig) -> GramMatrix:
     gram = np.zeros((m, m))
     hinges, obj = evaluate(gram)
     best_gram, best_obj, best_hinges = gram, obj, hinges
-    eta = config.step_size if config.step_size is not None else 1.0 / n_constraints
+    eta = 1.0 / n_constraints
     history = [best_obj]
     stop_reason = "max_iterations"
 
@@ -190,9 +186,6 @@ def _solve(constraints: ConstraintSet, config: SolverConfig) -> GramMatrix:
         if obj < best_obj:
             best_gram, best_obj, best_hinges = gram, obj, hinges
         history.append(best_obj)
-        if eta < _MIN_STEP:
-            stop_reason = "min_step"
-            break
         if (len(history) > _WINDOW
                 and history[-1 - _WINDOW] - history[-1]
                 <= config.tolerance * max(1.0, abs(history[-1]))):

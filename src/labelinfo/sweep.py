@@ -18,7 +18,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import costbenefit, triplets
-from .costbenefit import TradeoffConfig, UtilityKind
+from .costbenefit import TradeoffConfig
 from .gnmds import SolverConfig, check_count, check_real, solve
 from .labels import (CLASS_TRUNCATIONS, PARTIAL_KINDS, LabelKind, LabelSet, hard_labels,
                      pca_encode, smooth_labels, soft_labels, sparsify_labels,
@@ -33,9 +33,6 @@ SWEEP_COLUMNS = CELL_COLUMNS + (
     "loss", "iterations", "stop_reason", "final_objective", "status")
 
 _DEFAULT_SMOOTHING = 0.05
-# The range each kind's `param` must lie in, as text and as a test.
-_PARAM_RANGES = {LabelKind.SMOOTHED: ("in [0, 1)", lambda p: 0 <= p < 1),
-                 LabelKind.TYPICALITY: ("in (0, 1]", lambda p: 0 < p <= 1)}
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -54,27 +51,34 @@ def reject_unknown_keys(data: dict, known, what: str) -> None:
         raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
-def _field_names(schema: type) -> set:
-    return {f.name for f in dataclass_fields(schema)}
+def from_config(schema: type, data: dict, what: str):
+    """`schema(**data)`, for a config section that names a dataclass's fields."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    reject_unknown_keys(data, {f.name for f in dataclass_fields(schema)}, what)
+    return schema(**data)
 
 
 @dataclass(frozen=True)
 class SignalSpec:
     kind: LabelKind
     k_hat: int | None = None
-    param: float | None = None  # smoothing rate / constant typicality score
+    param: float | None = None  # smoothing rate
 
     def __post_init__(self):
         """A field the kind ignores would still name the row and seed its noise."""
+        object.__setattr__(self, "kind", LabelKind(self.kind))
         if self.kind in PARTIAL_KINDS:
             check_count(f"signal {self.kind.value} k_hat", self.k_hat, 1)
         elif self.k_hat is not None:
             raise ValueError(f"signal {self.kind.value} takes no k_hat")
         if self.param is None:
             return
-        if self.kind not in _PARAM_RANGES:
-            raise ValueError(f"signal {self.kind.value} takes no param")
-        check_real(f"signal {self.kind.value} param", self.param, *_PARAM_RANGES[self.kind])
+        if self.kind is not LabelKind.SMOOTHED:
+            hint = (f"; typicality {self.param!r} is smoothed with param 1 - {self.param!r}"
+                    if self.kind is LabelKind.TYPICALITY else "")
+            raise ValueError(f"signal {self.kind.value} takes no param{hint}")
+        check_real("signal smoothed param", self.param, "in [0, 1)", lambda p: 0 <= p < 1)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind.value}
@@ -86,9 +90,7 @@ class SignalSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SignalSpec":
-        reject_unknown_keys(data, _field_names(cls), "signal")
-        return cls(kind=LabelKind(data["kind"]), k_hat=data.get("k_hat"),
-                   param=data.get("param"))
+        return from_config(cls, data, "signal")
 
 
 @dataclass(frozen=True)
@@ -144,18 +146,13 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        reject_unknown_keys(data, _field_names(cls), "sweep config")
+        reject_unknown_keys(data, {f.name for f in dataclass_fields(cls)}, "sweep config")
         kwargs = dict(data)
         if "signals" in data:
             kwargs["signals"] = [SignalSpec.from_dict(s) for s in data["signals"]]
-        if "solver" in data:
-            kwargs["solver"] = SolverConfig(**data["solver"])
-        if "tradeoff" in data:
-            t = data["tradeoff"]
-            reject_unknown_keys(t, _field_names(TradeoffConfig), "tradeoff config")
-            kwargs["tradeoff"] = TradeoffConfig(
-                beta=t["beta"],
-                utility_kind=UtilityKind(t.get("utility_kind", "linear")))
+        for name, schema in (("solver", SolverConfig), ("tradeoff", TradeoffConfig)):
+            if name in data:
+                kwargs[name] = from_config(schema, data[name], f"{name} config")
         return cls(**kwargs)
 
 
@@ -169,15 +166,10 @@ def build_labels(dataset: LatentDataset, signal: SignalSpec) -> LabelSet:
     if kind is LabelKind.SMOOTHED:
         eps = signal.param if signal.param is not None else _DEFAULT_SMOOTHING
         return smooth_labels(hard_labels(dataset), eps)
-    if kind is LabelKind.TYPICALITY:
+    if kind is LabelKind.TYPICALITY:  # each point's soft mass on its hard class
         hard = hard_labels(dataset)
-        if signal.param is not None:
-            scores = np.full(dataset.n, float(signal.param))
-        else:
-            # default: each point's soft mass on its hard class
-            soft = soft_labels(dataset)
-            scores = soft.values[np.arange(dataset.n), np.argmax(hard.values, axis=1)]
-        return typicality_labels(hard, scores)
+        mass = soft_labels(dataset).values[np.arange(dataset.n), np.argmax(hard.values, axis=1)]
+        return typicality_labels(hard, mass)
     if kind is LabelKind.SPARSE_SOFT:
         return sparsify_labels(soft_labels(dataset), signal.k_hat)
     if kind is LabelKind.TOP_CLASS:

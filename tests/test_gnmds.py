@@ -1,4 +1,5 @@
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelinfo import gnmds
-from labelinfo.gnmds import (_GROW, _MIN_STEP, _WINDOW, GramMatrix, SolverConfig,
+from labelinfo.gnmds import (_GROW, _WINDOW, GramMatrix, SolverConfig,
                              _double_center, _hinge_subgradient, extract_embedding,
                              project_psd, solve)
 from labelinfo.labels import hard_labels, pca_encode, soft_labels
@@ -55,7 +56,7 @@ def _reference_solve(constraints: ConstraintSet, config: SolverConfig) -> GramMa
     gram = np.zeros((m, m))
     obj = initial_objective = objective(gram)
     best_gram, best_obj = gram, obj
-    eta = config.step_size if config.step_size is not None else 1.0 / n_constraints
+    eta = 1.0 / n_constraints
     history = [best_obj]
     iterations = 0
     for _ in range(config.max_iterations):
@@ -70,8 +71,6 @@ def _reference_solve(constraints: ConstraintSet, config: SolverConfig) -> GramMa
         if obj < best_obj:
             best_gram, best_obj = gram, obj
         history.append(best_obj)
-        if eta < _MIN_STEP:
-            break
         if (len(history) > _WINDOW
                 and history[-1 - _WINDOW] - history[-1]
                 <= config.tolerance * max(1.0, abs(history[-1]))):
@@ -98,7 +97,7 @@ def _oracle_sets():
 
 @pytest.mark.parametrize("config", [
     SolverConfig(),
-    SolverConfig(margin=0.5, lam=0.2, step_size=0.01, tolerance=1e-4, max_iterations=400),
+    SolverConfig(margin=0.5, lam=0.2, tolerance=1e-4, max_iterations=400),
 ], ids=["default", "custom"])
 @pytest.mark.parametrize("kind", ["hard", "soft", "pca", "noisy"])
 def test_solve_matches_reference_loop_bit_for_bit(kind, config):
@@ -107,7 +106,7 @@ def test_solve_matches_reference_loop_bit_for_bit(kind, config):
     got = solve(constraints, config)
     assert np.array_equal(got.entries, expected.entries)
     diagnostics = dict(got.diagnostics)
-    assert diagnostics.pop("stop_reason") in {"tolerance", "min_step", "max_iterations"}
+    assert diagnostics.pop("stop_reason") in {"tolerance", "max_iterations"}
     assert diagnostics == expected.diagnostics
 
 
@@ -142,7 +141,6 @@ def test_hinge_subgradient_equals_dense_sum_of_per_triplet_terms():
 @pytest.mark.parametrize("config, reason, iterations", [
     (SolverConfig(), "tolerance", None),
     (SolverConfig(max_iterations=3), "max_iterations", 3),
-    (SolverConfig(step_size=1e-20), "min_step", 1),
 ])
 def test_solve_records_stop_reason(config, reason, iterations):
     diag = solve(_toy_constraints(), config).diagnostics
@@ -163,10 +161,12 @@ def test_default_tolerance_stops_a_large_solve_before_the_cap():
 
 
 def test_solver_config_defaults_and_validation():
+    # the step is worked out from the constraint count, so it is not a setting
+    assert [f.name for f in fields(SolverConfig)] == ["margin", "lam", "max_iterations",
+                                                      "tolerance"]
     cfg = SolverConfig()
     assert cfg.margin == 1.0 and cfg.lam == 0.05
-    assert cfg.step_size is None and cfg.max_iterations == 2000
-    assert cfg.tolerance == 1e-4
+    assert cfg.max_iterations == 2000 and cfg.tolerance == 1e-4
     with pytest.raises(ValueError):
         SolverConfig(margin=-1.0)
     with pytest.raises(ValueError):
@@ -175,8 +175,6 @@ def test_solver_config_defaults_and_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(tolerance=-1e-6)
-    with pytest.raises(ValueError):
-        SolverConfig(step_size=0.0)
 
 
 def test_project_psd_clips_negative_eigenvalues():

@@ -14,7 +14,7 @@ import labelinfo
 from labelinfo import cli, gnmds, render, sweep
 from labelinfo.cli import main
 from labelinfo.gnmds import solve
-from labelinfo.labels import LabelKind, soft_labels
+from labelinfo.labels import LabelKind, hard_labels, soft_labels, typicality_labels
 from labelinfo.latentgen import generate_dataset, similarity_matrix
 from labelinfo.metrics import recovery_score
 from labelinfo.render import (curve_panel, pivot_rows, render_curve_panels, render_heatmap,
@@ -90,7 +90,7 @@ def test_evaluate_cell_ok_row():
     assert row["constraint_count"] == 4 * 3 * (4 + 3 - 2) // 2
     assert -1.0 <= row["rho"] <= 1.0
     assert row["c_hat"] == 4.0
-    assert row["stop_reason"] in {"tolerance", "min_step", "max_iterations"}
+    assert row["stop_reason"] in {"tolerance", "max_iterations"}
     assert 1 <= row["iterations"] <= TINY.solver.max_iterations
     assert row["final_objective"] > 0
     assert wall > 0
@@ -452,6 +452,17 @@ def test_cli_sparsity_then_tradeoff(tmp_path):
     assert (tr_out / "tradeoff.svg").exists()
 
 
+def test_sparsity_script_keeps_the_manifest_of_each_run(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_sparsity_curves.py"
+    out = tmp_path / "study"
+    subprocess.run([sys.executable, str(script), "--out", str(out), "--n", "4", "--k", "4",
+                    "--reps", "1", "--k-hats", "1", "2"],
+                   env=_program_env(), capture_output=True, check=True, timeout=300)
+    for run_dir, command in ((out, "sparsity"), (out / "tradeoff", "tradeoff")):
+        assert json.loads((run_dir / "run_manifest.json").read_text())["command"] == command
+    assert (out / "sparsity.csv").exists() and (out / "tradeoff" / "tradeoff.csv").exists()
+
+
 def test_cli_tradeoff_prices_each_option_as_its_sweep_rows(tmp_path):
     # d = 3 caps PCA k_hat = 4 at 3 components, priced at 3 units
     cfg = _write_config(tmp_path, "sp.json", {
@@ -587,7 +598,17 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     assert main(["sparsity", "--config", sparsity, "--out", str(out)]) == 2
     assert "sigmaa" in capsys.readouterr().err
     assert not (out / "sparsity.csv").exists()
+    constraints_csv = tmp_path / "constraints.csv"
+    constraints_csv.write_text(constraints_to_csv(
+        mine_from_labels(soft_labels(generate_dataset(n=4, k=3, d=3, seed=2)))))
     for command, payload, key in [
+            ("simulate", {"solver": {"stepsize": 0.1}}, "unknown solver config keys: stepsize"),
+            ("simulate", {"solver": {"step_size": 0.01}}, "unknown solver config keys: step_size"),
+            ("sparsity", {"solver": {"step_size": 0.01}}, "unknown solver config keys: step_size"),
+            ("embed", {"constraints_csv": str(constraints_csv), "solver": {"stepsize": 0.1}},
+             "unknown solver config keys: stepsize"),
+            ("embed", {"constraints_csv": str(constraints_csv), "solver": {"step_size": 0.01}},
+             "unknown solver config keys: step_size"),
             ("analyze", {"n_grd": [3], "k_grid": [4]}, "n_grd"),
             ("embed", {"constraints_csv": "c.csv", "embeding_rank": 2}, "embeding_rank"),
             ("tradeoff", {"sweep_csv": "s.csv", "n": 3, "k": 4, "d": 3, "beta_grd": [0.1]},
@@ -649,12 +670,14 @@ def test_cli_sweeps_reject_counts_that_are_not_integers(tmp_path, capsys, sweep_
 
 def test_cli_tradeoff_negative_beta_is_usage_error(tmp_path, capsys):
     sweep_csv = tmp_path / "sweep.csv"
-    sweep_csv.write_text(rows_to_csv([], SWEEP_COLUMNS))
-    cfg = _write_config(tmp_path, "t.json", {
-        "sweep_csv": str(sweep_csv), "n": 3, "k": 4, "d": 3,
-        "beta_grid": [-0.1, 0.1]})
-    assert main(["tradeoff", "--config", cfg, "--out", str(tmp_path / "tr")]) == 2
-    assert "beta must be a number >= 0" in capsys.readouterr().err
+    sweep_csv.write_text(rows_to_csv([_sweep_row()], SWEEP_COLUMNS))
+    for beta_grid, message in (([-0.1, 0.1], "beta must be a number >= 0"),
+                               ([], "beta_grid must be non-empty")):
+        cfg = _write_config(tmp_path, "t.json", {
+            "sweep_csv": str(sweep_csv), "n": 6, "k": 4, "d": 3, "beta_grid": beta_grid})
+        assert main(["tradeoff", "--config", cfg, "--out", str(tmp_path / "tr")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "tr").exists()
 
 
 @pytest.mark.parametrize("value", [6.9, "6", True, 0])
@@ -671,11 +694,11 @@ def test_cli_tradeoff_rejects_counts_that_are_not_integers(tmp_path, capsys, key
 
 
 @pytest.mark.parametrize("signal", [
-    {"kind": "smoothed", "param": "abc"}, {"kind": "typicality", "param": "0.5"},
-    {"kind": "typicality", "param": True}, {"kind": "smoothed", "param": False},
+    {"kind": "smoothed", "param": "abc"}, {"kind": "smoothed", "param": "0.5"},
+    {"kind": "smoothed", "param": True}, {"kind": "smoothed", "param": False},
     {"kind": "smoothed", "param": 1.0}, {"kind": "smoothed", "param": -0.1},
-    {"kind": "typicality", "param": 0}, {"kind": "typicality", "param": 1.5},
-    {"kind": "typicality", "param": float("nan")}])
+    {"kind": "smoothed", "param": float("inf")}, {"kind": "smoothed", "param": 1.5},
+    {"kind": "smoothed", "param": float("nan")}])
 def test_signal_param_outside_its_range_is_usage_error(tmp_path, capsys, signal):
     with pytest.raises(ValueError, match=f"signal {signal['kind']} param must be a number"):
         SignalSpec.from_dict(signal)
@@ -687,9 +710,26 @@ def test_signal_param_outside_its_range_is_usage_error(tmp_path, capsys, signal)
 
 
 def test_signal_param_accepts_the_ends_of_its_range():
-    for kind, param in ((LabelKind.SMOOTHED, 0), (LabelKind.SMOOTHED, 0.99),
-                        (LabelKind.TYPICALITY, 1), (LabelKind.TYPICALITY, 1e-9)):
-        SignalSpec(kind, param=param)
+    for param in (0, 0.99, 1 - 1e-9):
+        SignalSpec(LabelKind.SMOOTHED, param=param)
+
+
+def test_typicality_param_names_its_smoothed_equivalent(tmp_path, capsys):
+    """A constant typicality score p builds the labels of smoothing at 1 - p."""
+    message = "signal typicality takes no param; typicality 0.9 is smoothed with param 1 - 0.9"
+    with pytest.raises(ValueError, match=message):
+        SignalSpec.from_dict({"kind": "typicality", "param": 0.9})
+    cfg = _write_config(tmp_path, "spec.json", {"signals": [{"kind": "typicality",
+                                                             "param": 0.9}]})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    ds = generate_dataset(n=4, k=5, d=3, seed=1)
+    for p in (0.9, 1, 1e-9):
+        smoothed = build_labels(ds, SignalSpec(LabelKind.SMOOTHED, param=1 - p))
+        typical = typicality_labels(hard_labels(ds), np.full(ds.n, float(p)))
+        assert np.allclose(smoothed.values, typical.values, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("command, config", [
@@ -812,7 +852,6 @@ def test_cli_embed_malformed_constraints_csv_is_usage_error(tmp_path, monkeypatc
     ("simulate", {"epsilon_grid": [True]}, "flip rate must be a number in [0, 1]"),
     ("simulate", {"solver": {"lam": True}}, "lam must be a number > 0"),
     ("simulate", {"solver": {"margin": "1"}}, "margin must be a number > 0"),
-    ("simulate", {"solver": {"step_size": True}}, "step_size must be a number > 0"),
     ("simulate", {"solver": {"tolerance": False}}, "tolerance must be a number > 0"),
     ("simulate", {"tradeoff": {"beta": True}}, "beta must be a number >= 0"),
     ("sparsity", {"sigma": True}, "sigma must be a number > 0"),
@@ -828,7 +867,7 @@ def test_cli_embed_malformed_constraints_csv_is_usage_error(tmp_path, monkeypatc
     ("embed", {"solver": {"margin": float("inf")}}, "margin must be a number > 0, got inf"),
     ("tradeoff", {"beta_grid": [0.1, float("inf")]}, "beta must be a number >= 0, got inf"),
 ], ids=["sigma_bool", "sigma_str", "flip_rate_bool", "lam_bool", "margin_str",
-        "step_size_bool", "tolerance_bool", "sweep_beta_bool", "sparsity_sigma_bool",
+        "tolerance_bool", "sweep_beta_bool", "sparsity_sigma_bool",
         "embed_lam_bool", "beta_grid_bool", "beta_grid_str", "sigma_inf", "sigma_nan",
         "lam_inf", "tolerance_inf", "sweep_beta_inf", "embed_margin_inf", "beta_grid_inf"])
 def test_cli_real_config_values_reject_bools_and_non_numbers(tmp_path, capsys, command,
@@ -890,10 +929,14 @@ def test_cli_out_that_is_not_a_directory_is_usage_error(tmp_path, monkeypatch, c
         patch.setattr(sweep, "run_sweep", lambda *_, **__: pytest.fail("ran a cell"))
         patch.setattr(cli, "solve", lambda *_: pytest.fail("solved"))
         assert main(argv + ["--out", str(blocker)]) == 2
-    assert f"error: --out {blocker} is not a directory" in capsys.readouterr().err
-    # a directory that cannot be made fails only when the outputs are written
-    assert main(argv + ["--out", str(blocker / "sub")]) == 2
-    assert "error: cannot write outputs:" in capsys.readouterr().err
+        assert f"error: --out {blocker} is not a directory" in capsys.readouterr().err
+        # a directory that cannot be made is caught before any work too
+        assert main(argv + ["--out", str(blocker / "sub")]) == 2
+        assert (f"error: --out {blocker / 'sub'} lies below {blocker}, not a directory"
+                in capsys.readouterr().err)
+        # a name the file system cannot hold raises OSError on the check itself
+        assert main(argv + ["--out", str(tmp_path / ("x" * 300))]) == 2
+        assert "error: cannot use --out: [Errno 36] File name too long" in capsys.readouterr().err
     assert blocker.read_text() == "keep"
 
 
