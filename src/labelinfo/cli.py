@@ -56,13 +56,10 @@ def _load_config(path: str | None, what: str, known, required=()) -> dict:
 
 
 def _sweep_spec(args, what: str, known, to_sweep_config=dict) -> sweep.SweepSpec:
-    """The command's config, turned into a sweep config; --seed replaces its base seed."""
+    """The command's config, turned into a sweep config."""
     config = _load_config(args.config, what, known)
     try:
-        spec = sweep.SweepSpec.from_dict(to_sweep_config(config))
-        if args.seed is not None:
-            spec = dataclasses.replace(spec, base_seed=args.seed)
-        return spec
+        return sweep.SweepSpec.from_dict(to_sweep_config(config))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad {what}: {exc}") from exc
 
@@ -249,7 +246,7 @@ def cmd_sparsity(args):
 def cmd_defaults(args):
     text = json.dumps(sweep.SweepSpec().to_dict(), indent=2)
     print(text)
-    return ({} if args.out == "." else {"defaults.json": text + "\n"}), None, 0
+    return ({} if args.out is None else {"defaults.json": text + "\n"}), None, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,11 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         if name != "defaults":
             p.add_argument("--config", default=None, help="JSON config path")
-        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--out", default=None, help="output directory (default: .)")
         if name in ("simulate", "sparsity"):
             p.add_argument("--workers", type=int, default=1)
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the config base seed")
         p.set_defaults(func=func)
     return parser
 
@@ -283,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run the command, then write its files and run_manifest.json into --out."""
     args = build_parser().parse_args(argv)
-    out = Path(args.out)
+    out = Path(args.out or ".")
     start = time.perf_counter()
     try:
         try:  # a directory that cannot be made is caught before any work

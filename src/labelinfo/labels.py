@@ -124,8 +124,6 @@ def _columns_mutual_information(values: np.ndarray, reference: np.ndarray) -> np
     n, k = values.shape
     if n < 3:
         raise ValueError(f"need at least 3 points to estimate column information, got {n}")
-    if reference.shape != (n, n):
-        raise ValueError(f"reference has shape {reference.shape}, columns have {n} points")
     bins = _MI_BINS
     iu = np.triu_indices(n, 1)
     y = _equal_frequency_codes(reference[iu])

@@ -32,7 +32,9 @@ SWEEP_COLUMNS = CELL_COLUMNS + (
     "constraint_count", "information_ratio", "rho", "satisfied_fraction", "c_hat",
     "loss", "iterations", "stop_reason", "final_objective", "status")
 
-_DEFAULT_SMOOTHING = 0.05
+_SMOOTHING = 0.05
+# The beta that prices a row's loss column; `labelinfo tradeoff` prices rows at any beta grid.
+_ROW_TRADEOFF = TradeoffConfig(beta=0.1)
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -63,29 +65,19 @@ def from_config(schema: type, data: dict, what: str):
 class SignalSpec:
     kind: LabelKind
     k_hat: int | None = None
-    param: float | None = None  # smoothing rate
 
     def __post_init__(self):
-        """A field the kind ignores would still name the row and seed its noise."""
+        """A k_hat the kind ignores would still name the row and seed its noise."""
         object.__setattr__(self, "kind", LabelKind(self.kind))
         if self.kind in PARTIAL_KINDS:
             check_count(f"signal {self.kind.value} k_hat", self.k_hat, 1)
         elif self.k_hat is not None:
             raise ValueError(f"signal {self.kind.value} takes no k_hat")
-        if self.param is None:
-            return
-        if self.kind is not LabelKind.SMOOTHED:
-            hint = (f"; typicality {self.param!r} is smoothed with param 1 - {self.param!r}"
-                    if self.kind is LabelKind.TYPICALITY else "")
-            raise ValueError(f"signal {self.kind.value} takes no param{hint}")
-        check_real("signal smoothed param", self.param, "in [0, 1)", lambda p: 0 <= p < 1)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind.value}
         if self.k_hat is not None:
             out["k_hat"] = self.k_hat
-        if self.param is not None:
-            out["param"] = self.param
         return out
 
     @classmethod
@@ -104,7 +96,6 @@ class SweepSpec:
     sigma: float = 0.5
     base_seed: int = 0
     solver: SolverConfig = field(default_factory=SolverConfig)
-    tradeoff: TradeoffConfig = field(default_factory=lambda: TradeoffConfig(beta=0.1))
 
     def __post_init__(self):
         for name in ("n_grid", "k_grid", "d_grid", "signals", "epsilon_grid"):
@@ -141,7 +132,6 @@ class SweepSpec:
     def to_dict(self) -> dict:
         out = asdict(self)
         out["signals"] = [s.to_dict() for s in self.signals]
-        out["tradeoff"]["utility_kind"] = self.tradeoff.utility_kind.value
         return out
 
     @classmethod
@@ -150,9 +140,8 @@ class SweepSpec:
         kwargs = dict(data)
         if "signals" in data:
             kwargs["signals"] = [SignalSpec.from_dict(s) for s in data["signals"]]
-        for name, schema in (("solver", SolverConfig), ("tradeoff", TradeoffConfig)):
-            if name in data:
-                kwargs[name] = from_config(schema, data[name], f"{name} config")
+        if "solver" in data:
+            kwargs["solver"] = from_config(SolverConfig, data["solver"], "solver config")
         return cls(**kwargs)
 
 
@@ -164,8 +153,7 @@ def build_labels(dataset: LatentDataset, signal: SignalSpec) -> LabelSet:
     if kind is LabelKind.SOFT:
         return soft_labels(dataset)
     if kind is LabelKind.SMOOTHED:
-        eps = signal.param if signal.param is not None else _DEFAULT_SMOOTHING
-        return smooth_labels(hard_labels(dataset), eps)
+        return smooth_labels(hard_labels(dataset), _SMOOTHING)
     if kind is LabelKind.TYPICALITY:  # each point's soft mass on its hard class
         hard = hard_labels(dataset)
         mass = soft_labels(dataset).values[np.arange(dataset.n), np.argmax(hard.values, axis=1)]
@@ -223,7 +211,7 @@ def evaluate_cell(spec: SweepSpec, cell, table: dict | None = None) -> tuple[dic
             "rho": rho,
             "satisfied_fraction": gram.diagnostics["satisfied_fraction"],
             "c_hat": option.cost_units,
-            "loss": costbenefit.loss(option, spec.tradeoff),
+            "loss": costbenefit.loss(option, _ROW_TRADEOFF),
             "iterations": gram.diagnostics["iterations"],
             "stop_reason": gram.diagnostics["stop_reason"],
             "final_objective": gram.diagnostics["final_objective"],

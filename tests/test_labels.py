@@ -115,6 +115,15 @@ def test_typicality_rejects_out_of_range():
         typicality_labels(hard, np.array([0.5, 1.5]))
 
 
+def test_smoothing_at_one_minus_p_is_typicality_p():
+    """A constant typicality score p builds the labels of smoothing at 1 - p."""
+    hard = hard_labels(generate_dataset(n=4, k=5, d=3, seed=1))
+    for p in (0.9, 1, 1e-9):
+        smoothed = smooth_labels(hard, 1 - p)
+        typical = typicality_labels(hard, np.full(4, float(p)))
+        assert np.allclose(smoothed.values, typical.values, rtol=0, atol=1e-15)
+
+
 def test_sparsify_keeps_top_values():
     soft = LabelSet(kind=LabelKind.SOFT,
                     values=np.array([[0.5, 0.3, 0.15, 0.05]]))
@@ -224,11 +233,12 @@ def test_mutual_information_null_is_near_zero():
 
 
 def test_mutual_information_rejects_bad_size():
+    """`topclass_labels` checks its reference before it estimates any column."""
     rng = np.random.default_rng(1)
-    items = rng.standard_normal((10, 3))
-    sim = similarity_matrix(items)
-    with pytest.raises(ValueError):
-        column_mutual_information(np.zeros(9), sim)
+    sim = similarity_matrix(rng.standard_normal((10, 3)))
+    soft = LabelSet(kind=LabelKind.SOFT, values=np.full((9, 3), 1 / 3))
+    with pytest.raises(ValueError, match=r"reference has shape \(10, 10\), labels have 9"):
+        topclass_labels(soft, 2, sim)
 
 
 def _reference_column_mutual_information(column, reference, bins=8):

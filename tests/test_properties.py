@@ -86,6 +86,9 @@ def test_argmax_preservation_under_smoothing_and_sparsify(n, k, d, seed, data):
     smoothed = smooth_labels(hard, eps)
     assert np.array_equal(np.argmax(smoothed.values, axis=1),
                           np.argmax(hard.values, axis=1))
+    # so every rate below (k-1)/k mines exactly the hard set
+    assert (mine_from_labels(smoothed).triplets.tobytes()
+            == mine_from_labels(hard).triplets.tobytes())
     k_hat = data.draw(st.integers(1, k))
     sparse = sparsify_labels(soft, k_hat)
     top = np.argmax(soft.values, axis=1)

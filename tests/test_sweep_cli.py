@@ -14,7 +14,7 @@ import labelinfo
 from labelinfo import cli, gnmds, render, sweep
 from labelinfo.cli import main
 from labelinfo.gnmds import solve
-from labelinfo.labels import LabelKind, hard_labels, soft_labels, typicality_labels
+from labelinfo.labels import LabelKind, soft_labels
 from labelinfo.latentgen import generate_dataset, similarity_matrix
 from labelinfo.metrics import recovery_score
 from labelinfo.render import (curve_panel, pivot_rows, render_curve_panels, render_heatmap,
@@ -49,16 +49,21 @@ def test_signal_spec_round_trip_and_validation():
         SignalSpec.from_dict({"kind": "smoothed", "parm": 0.3})
 
 
-@pytest.mark.parametrize("signal, field", [({"kind": "hard", "k_hat": 3}, "k_hat"),
-                                           ({"kind": "soft", "param": 0.3}, "param")])
-def test_signal_spec_rejects_fields_its_kind_ignores(tmp_path, capsys, signal, field):
-    with pytest.raises(ValueError, match=f"signal {signal['kind']} takes no {field}"):
+# smoothing has one rate, so no kind takes a param
+@pytest.mark.parametrize("signal, message", [
+    ({"kind": "hard", "k_hat": 3}, "signal hard takes no k_hat"),
+    ({"kind": "soft", "param": 0.3}, "unknown signal keys: param"),
+], ids=["signal0-k_hat", "signal1-param"])
+def test_signal_spec_rejects_fields_its_kind_ignores(tmp_path, monkeypatch, capsys, signal,
+                                                     message):
+    with pytest.raises(ValueError, match=message):
         SignalSpec.from_dict(signal)
     cfg = _write_config(tmp_path, "spec.json", {"signals": [signal]})
     out = tmp_path / "out"
+    monkeypatch.setattr(sweep, "run_sweep", lambda *_, **__: pytest.fail("ran a cell"))
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    assert f"takes no {field}" in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
+    assert f"error: bad sweep config: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_spec_round_trip_and_validation():
@@ -327,6 +332,17 @@ def test_cli_defaults(capsys):
     assert spec == SweepSpec()
 
 
+def test_cli_defaults_writes_its_file_only_when_given_out(tmp_path, monkeypatch, capsys):
+    """`--out .` names the working directory, as `--out ./` does."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["defaults"]) == 0
+    assert list(tmp_path.iterdir()) == []
+    assert main(["defaults", "--out", "."]) == 0
+    written = (tmp_path / "defaults.json").read_text()
+    assert capsys.readouterr().out == 2 * written  # each run prints what the file holds
+    assert SweepSpec.from_dict(json.loads(written)) == SweepSpec()
+
+
 def test_cli_simulate_and_determinism(tmp_path):
     cfg = _write_config(tmp_path, "spec.json", {
         "n_grid": [3], "k_grid": [4], "d_grid": [3], "reps": 2,
@@ -342,10 +358,11 @@ def test_cli_simulate_and_determinism(tmp_path):
     assert manifest["workers"] == 1
     assert manifest["spec"]["base_seed"] == 5
     assert manifest["wall_time_seconds"] > 0
-    # seed override changes the data
+    # the base seed changes the data
+    other = _write_config(tmp_path, "other.json", {**json.loads(Path(cfg).read_text()),
+                                                   "base_seed": 6})
     out3 = tmp_path / "c"
-    assert main(["simulate", "--config", cfg, "--out", str(out3),
-                 "--seed", "6"]) == 0
+    assert main(["simulate", "--config", other, "--out", str(out3)]) == 0
     assert (out1 / "sweep.csv").read_text() != (out3 / "sweep.csv").read_text()
 
 
@@ -586,10 +603,6 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     assert main(["simulate", "--config", typo, "--out", str(out)]) == 2
     assert "k_grd" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
-    nested = _write_config(tmp_path, "nested.json",
-                           {"reps": 1, "tradeoff": {"beta": 0.1, "utilty_kind": "log"}})
-    assert main(["simulate", "--config", nested, "--out", str(out)]) == 2
-    assert "utilty_kind" in capsys.readouterr().err
     signal = _write_config(tmp_path, "signal.json",
                            {"signals": [{"kind": "smoothed", "parm": 0.3}]})
     assert main(["simulate", "--config", signal, "--out", str(out)]) == 2
@@ -699,37 +712,39 @@ def test_cli_tradeoff_rejects_counts_that_are_not_integers(tmp_path, capsys, key
     {"kind": "smoothed", "param": 1.0}, {"kind": "smoothed", "param": -0.1},
     {"kind": "smoothed", "param": float("inf")}, {"kind": "smoothed", "param": 1.5},
     {"kind": "smoothed", "param": float("nan")}])
-def test_signal_param_outside_its_range_is_usage_error(tmp_path, capsys, signal):
-    with pytest.raises(ValueError, match=f"signal {signal['kind']} param must be a number"):
+def test_signal_param_outside_its_range_is_usage_error(tmp_path, monkeypatch, capsys, signal):
+    """Smoothing has one rate, so no value of a smoothed signal's `param` is in range:
+    each, whatever its type, is refused as an unknown key before any cell runs."""
+    with pytest.raises(ValueError, match="unknown signal keys: param"):
         SignalSpec.from_dict(signal)
     cfg = _write_config(tmp_path, "spec.json", {"signals": [signal]})
     out = tmp_path / "out"
+    monkeypatch.setattr(sweep, "run_sweep", lambda *_, **__: pytest.fail("ran a cell"))
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    assert "param must be a number in" in capsys.readouterr().err
+    assert "error: bad sweep config: unknown signal keys: param" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_signal_param_accepts_the_ends_of_its_range():
-    for param in (0, 0.99, 1 - 1e-9):
-        SignalSpec(LabelKind.SMOOTHED, param=param)
-
-
-def test_typicality_param_names_its_smoothed_equivalent(tmp_path, capsys):
-    """A constant typicality score p builds the labels of smoothing at 1 - p."""
-    message = "signal typicality takes no param; typicality 0.9 is smoothed with param 1 - 0.9"
-    with pytest.raises(ValueError, match=message):
-        SignalSpec.from_dict({"kind": "typicality", "param": 0.9})
-    cfg = _write_config(tmp_path, "spec.json", {"signals": [{"kind": "typicality",
-                                                             "param": 0.9}]})
+@pytest.mark.parametrize("command, config, extra, message", [
+    ("simulate", TINY.to_dict(), ["--seed", "6"], "unrecognized arguments: --seed 6"),
+    ("sparsity", {"n": 3, "k": 3, "d": 3, "k_hat_grid": [1]}, ["--seed", "6"],
+     "unrecognized arguments: --seed 6"),
+    ("simulate", {**TINY.to_dict(), "tradeoff": {"beta": 0.1}}, [],
+     "error: unknown sweep config keys: tradeoff"),
+], ids=["simulate_seed", "sparsity_seed", "sweep_tradeoff"])
+def test_cli_rejects_the_base_seed_flag_and_a_tradeoff_block(tmp_path, monkeypatch, capsys,
+                                                             command, config, extra, message):
+    """`base_seed` sets the seed and `labelinfo tradeoff` prices rows at any beta."""
+    cfg = _write_config(tmp_path, "spec.json", config)
     out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    monkeypatch.setattr(sweep, "run_sweep", lambda *_, **__: pytest.fail("ran a cell"))
+    try:
+        status = main([command, "--config", cfg, "--out", str(out), *extra])
+    except SystemExit as exc:
+        status = exc.code
+    assert status == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
-    ds = generate_dataset(n=4, k=5, d=3, seed=1)
-    for p in (0.9, 1, 1e-9):
-        smoothed = build_labels(ds, SignalSpec(LabelKind.SMOOTHED, param=1 - p))
-        typical = typicality_labels(hard_labels(ds), np.full(ds.n, float(p)))
-        assert np.allclose(smoothed.values, typical.values, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("command, config", [
@@ -853,7 +868,6 @@ def test_cli_embed_malformed_constraints_csv_is_usage_error(tmp_path, monkeypatc
     ("simulate", {"solver": {"lam": True}}, "lam must be a number > 0"),
     ("simulate", {"solver": {"margin": "1"}}, "margin must be a number > 0"),
     ("simulate", {"solver": {"tolerance": False}}, "tolerance must be a number > 0"),
-    ("simulate", {"tradeoff": {"beta": True}}, "beta must be a number >= 0"),
     ("sparsity", {"sigma": True}, "sigma must be a number > 0"),
     ("embed", {"solver": {"lam": True}}, "lam must be a number > 0"),
     ("tradeoff", {"beta_grid": [True, 0.1]}, "beta must be a number >= 0"),
@@ -863,13 +877,12 @@ def test_cli_embed_malformed_constraints_csv_is_usage_error(tmp_path, monkeypatc
     ("simulate", {"sigma": float("nan")}, "sigma must be a number > 0, got nan"),
     ("simulate", {"solver": {"lam": float("inf")}}, "lam must be a number > 0, got inf"),
     ("simulate", {"solver": {"tolerance": float("inf")}}, "tolerance must be a number > 0"),
-    ("simulate", {"tradeoff": {"beta": float("inf")}}, "beta must be a number >= 0, got inf"),
     ("embed", {"solver": {"margin": float("inf")}}, "margin must be a number > 0, got inf"),
     ("tradeoff", {"beta_grid": [0.1, float("inf")]}, "beta must be a number >= 0, got inf"),
 ], ids=["sigma_bool", "sigma_str", "flip_rate_bool", "lam_bool", "margin_str",
-        "tolerance_bool", "sweep_beta_bool", "sparsity_sigma_bool",
+        "tolerance_bool", "sparsity_sigma_bool",
         "embed_lam_bool", "beta_grid_bool", "beta_grid_str", "sigma_inf", "sigma_nan",
-        "lam_inf", "tolerance_inf", "sweep_beta_inf", "embed_margin_inf", "beta_grid_inf"])
+        "lam_inf", "tolerance_inf", "embed_margin_inf", "beta_grid_inf"])
 def test_cli_real_config_values_reject_bools_and_non_numbers(tmp_path, capsys, command,
                                                              config, message):
     constraints_csv = tmp_path / "constraints.csv"

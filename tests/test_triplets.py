@@ -281,6 +281,17 @@ def test_coordinate_mining_collinear():
     assert information_ratio(len(cs), 2, 1) == 1.0
 
 
+@pytest.mark.parametrize("n, k", [(3, 3), (10, 4), (20, 20), (40, 10), (5, 40)])
+def test_hard_sets_are_met_by_collapsing_each_class_on_any_centroids(n, k):
+    """A hard label orders no two non-label classes, so any centroid placement serves."""
+    for seed in range(30):
+        hard = hard_labels(generate_dataset(n=n, k=k, d=5, seed=seed))
+        centroids = np.random.default_rng(seed).standard_normal((k, 5))
+        points = centroids[np.argmax(hard.values, axis=1)]
+        coords = np.vstack([points, centroids])
+        assert satisfied_share(mine_from_labels(hard).triplets, coords) == 1.0
+
+
 def test_coordinate_mining_skips_exact_ties():
     coords = LabelSet(kind=LabelKind.PCA_COORDS,
                       values=np.array([[-1.0], [0.0], [1.0]]))
