@@ -87,7 +87,6 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    size: int
     entries: np.ndarray
     diagnostics: dict
 
@@ -142,8 +141,7 @@ def solve(constraints: ConstraintSet, config: SolverConfig = SolverConfig(),
     if key not in table:
         table[key] = _solve(constraints, config)
     stored = table[key]
-    return GramMatrix(size=stored.size, entries=stored.entries.copy(),
-                      diagnostics=dict(stored.diagnostics))
+    return GramMatrix(entries=stored.entries.copy(), diagnostics=dict(stored.diagnostics))
 
 
 def _solve(constraints: ConstraintSet, config: SolverConfig) -> GramMatrix:
@@ -199,13 +197,14 @@ def _solve(constraints: ConstraintSet, config: SolverConfig) -> GramMatrix:
         "satisfied_fraction": float(np.mean(best_hinges - margin < 0.0)),
         "stop_reason": stop_reason,
     }
-    return GramMatrix(size=m, entries=best_gram, diagnostics=diagnostics)
+    return GramMatrix(entries=best_gram, diagnostics=diagnostics)
 
 
 def extract_embedding(gram: GramMatrix, h: int) -> np.ndarray:
     """Coordinates from the top-h eigenpairs: row i is (sqrt(l_j) v_j[i])_j."""
-    if not 1 <= h <= gram.size:
-        raise ValueError(f"embedding rank must lie in [1, {gram.size}], got {h}")
+    m = gram.entries.shape[0]
+    if not 1 <= h <= m:
+        raise ValueError(f"embedding rank must lie in [1, {m}], got {h}")
     eigvals, eigvecs = np.linalg.eigh(gram.entries)
     top = np.argsort(eigvals)[::-1][:h]
     scale = np.sqrt(np.maximum(eigvals[top], 0.0))

@@ -21,8 +21,6 @@ class LatentDataset:
     points: np.ndarray       # (n, d)
     centroids: np.ndarray    # (k, d)
     assignments: np.ndarray  # (n,) generating class per point
-    d: int
-    seed: int
 
     @property
     def n(self) -> int:
@@ -31,6 +29,10 @@ class LatentDataset:
     @property
     def k(self) -> int:
         return self.centroids.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.points.shape[1]
 
     def all_items(self) -> np.ndarray:
         """Combined item coordinates: points first, centroids after.
@@ -65,8 +67,7 @@ def generate_dataset(n: int, k: int, d: int, sigma: float = 0.5, seed: int = 0) 
     centroids = rng.standard_normal((k, d))
     assignments = np.arange(n, dtype=np.int64) % k
     points = centroids[assignments] + sigma * rng.standard_normal((n, d))
-    return LatentDataset(points=points, centroids=centroids,
-                         assignments=assignments, d=d, seed=seed)
+    return LatentDataset(points=points, centroids=centroids, assignments=assignments)
 
 
 def similarity_matrix(items: np.ndarray, normalized: bool = True) -> np.ndarray:

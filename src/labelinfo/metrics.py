@@ -47,5 +47,5 @@ def recovery_score(gram: GramMatrix, truth: np.ndarray) -> float:
     """
     if truth.shape != gram.entries.shape:
         raise ValueError(f"shape mismatch: gram {gram.entries.shape}, truth {truth.shape}")
-    iu = np.triu_indices(gram.size, 1)
+    iu = np.triu_indices(gram.entries.shape[0], 1)
     return spearman(gram.entries[iu], truth[iu])

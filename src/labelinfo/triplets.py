@@ -32,8 +32,6 @@ class ConstraintSet:
     n_points: int
     n_centroids: int
     triplets: np.ndarray  # (T, 3) int32 rows of (anchor, near, far); see the module docstring
-    source_kind: str
-    flip_rate: float = 0.0
 
     @property
     def m(self) -> int:
@@ -80,8 +78,7 @@ def mine_from_labels(labels: LabelSet) -> ConstraintSet:
     triplets[:split, 1] += n
     triplets[:split, 2] += n
     triplets[split:, 0] += n
-    return ConstraintSet(n_points=n, n_centroids=k, triplets=triplets,
-                         source_kind=labels.kind.value)
+    return ConstraintSet(n_points=n, n_centroids=k, triplets=triplets)
 
 
 def mine_from_coordinates(labels: LabelSet, n_points: int) -> ConstraintSet:
@@ -101,8 +98,7 @@ def mine_from_coordinates(labels: LabelSet, n_points: int) -> ConstraintSet:
     mask = _nearer(nearness)
     triplets = np.empty((np.count_nonzero(mask), 3), dtype=np.int32)
     np.stack(np.nonzero(mask), axis=1, out=triplets)
-    return ConstraintSet(n_points=n_points, n_centroids=m - n_points,
-                         triplets=triplets, source_kind=labels.kind.value)
+    return ConstraintSet(n_points=n_points, n_centroids=m - n_points, triplets=triplets)
 
 
 def _squared_distances(coords: np.ndarray) -> np.ndarray:
@@ -151,7 +147,7 @@ def apply_noise(constraints: ConstraintSet, epsilon: float, seed: int) -> Constr
     triplets = source.copy()
     triplets[flipped, 1] = source[flipped, 2]
     triplets[flipped, 2] = source[flipped, 1]
-    return replace(constraints, triplets=triplets, flip_rate=epsilon)
+    return replace(constraints, triplets=triplets)
 
 
 def constraints_from_csv(text: str) -> ConstraintSet:
@@ -159,13 +155,15 @@ def constraints_from_csv(text: str) -> ConstraintSet:
     row of values, the header `anchor,near,far`, then one row per triplet.
 
     A malformed header, a negative n or k, or a row that is not three
-    integer indices in [0, n + k) is a ValueError.
+    integer indices in [0, n + k) is a ValueError. The header's source kind
+    and flip rate are read, and the rate must be a number, but neither is kept.
     """
     lines = [ln for ln in text.splitlines() if ln]
     if len(lines) < 3 or lines[0] != "n,k,source_kind,flip_rate" or lines[2] != "anchor,near,far":
         raise ValueError("malformed constraint CSV")
-    n_str, k_str, kind, flip = lines[1].split(",")
+    n_str, k_str, _, flip = lines[1].split(",")
     n, k = int(n_str), int(k_str)
+    float(flip)  # a rate that is not a number is malformed
     if n < 0 or k < 0 or n + k > _MAX_ITEMS:
         raise ValueError(f"n and k must be >= 0 with n + k <= {_MAX_ITEMS}, got n={n}, k={k}")
     m = n + k
@@ -180,5 +178,4 @@ def constraints_from_csv(text: str) -> ConstraintSet:
                              f"in [0, {m}): {line!r}")
         rows.append(row)
     return ConstraintSet(n_points=n, n_centroids=k,
-                         triplets=np.array(rows, dtype=np.int32).reshape(-1, 3),
-                         source_kind=kind, flip_rate=float(flip))
+                         triplets=np.array(rows, dtype=np.int32).reshape(-1, 3))

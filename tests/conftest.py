@@ -68,11 +68,12 @@ def indifference_beta(a: SignalOption, b: SignalOption,
     return (utility(a.rho, cfg) - utility(b.rho, cfg)) / (a.cost_units - b.cost_units)
 
 
-def constraints_to_csv(constraints: ConstraintSet) -> str:
-    """The text `triplets.constraints_from_csv` reads back."""
+def constraints_to_csv(constraints: ConstraintSet, source_kind: str = "soft",
+                       flip_rate: float = 0.0) -> str:
+    """The text `triplets.constraints_from_csv` reads back; the set keeps no
+    source kind or flip rate, so the header states the ones given."""
     lines = ["n,k,source_kind,flip_rate",
-             f"{constraints.n_points},{constraints.n_centroids},"
-             f"{constraints.source_kind},{repr(constraints.flip_rate)}",
+             f"{constraints.n_points},{constraints.n_centroids},{source_kind},{flip_rate!r}",
              "anchor,near,far"]
     lines.extend(f"{a},{b},{c}" for a, b, c in constraints.triplets)
     return "\n".join(lines) + "\n"

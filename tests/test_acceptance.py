@@ -162,9 +162,8 @@ def test_criterion_03_solver_oracle_recovery():
             rng = np.random.default_rng(seed)
             items = rng.standard_normal((m, 3))
             items /= np.linalg.norm(items, axis=1, keepdims=True)
-            constraints = ConstraintSet(
-                n_points=m, n_centroids=0,
-                triplets=_exhaustive_queries(items), source_kind="coordinates")
+            constraints = ConstraintSet(n_points=m, n_centroids=0,
+                                        triplets=_exhaustive_queries(items))
             assert len(constraints) == 3 * math.comb(m, 3)
             gram = solve(constraints)
             truth = similarity_matrix(items - items.mean(axis=0), normalized=False)

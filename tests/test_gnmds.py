@@ -22,7 +22,7 @@ from labelinfo.triplets import (ConstraintSet, apply_noise,
 def _toy_constraints():
     """0 closer to 1 than to 2, and 1 closer to 0 than to 2."""
     t = np.array([[0, 1, 2], [1, 0, 2]], dtype=np.int64)
-    return ConstraintSet(n_points=3, n_centroids=0, triplets=t, source_kind="hard")
+    return ConstraintSet(n_points=3, n_centroids=0, triplets=t)
 
 
 def _reference_solve(constraints: ConstraintSet, config: SolverConfig) -> GramMatrix:
@@ -81,7 +81,7 @@ def _reference_solve(constraints: ConstraintSet, config: SolverConfig) -> GramMa
         "iterations": iterations,
         "satisfied_fraction": float(np.mean(hinge_terms(best_gram) - margin < 0.0)),
     }
-    return GramMatrix(size=m, entries=best_gram, diagnostics=diagnostics)
+    return GramMatrix(entries=best_gram, diagnostics=diagnostics)
 
 
 def _oracle_sets():
@@ -117,7 +117,7 @@ def test_solve_gives_the_same_bytes_for_int32_and_int64_indices():
     narrow = apply_noise(mine_from_labels(soft_labels(ds)), 0.1, seed=2)
     assert narrow.triplets.dtype == np.int32
     wide = ConstraintSet(narrow.n_points, narrow.n_centroids,
-                         narrow.triplets.astype(np.int64), narrow.source_kind)
+                         narrow.triplets.astype(np.int64))
     got, expected = solve(narrow), solve(wide)
     assert got.entries.tobytes() == expected.entries.tobytes()
     assert got.diagnostics == expected.diagnostics
@@ -225,13 +225,13 @@ def test_project_psd_rejects_nonfinite():
 
 
 def test_solve_empty_raises():
-    empty = ConstraintSet(2, 1, np.empty((0, 3), dtype=np.int64), "soft")
+    empty = ConstraintSet(2, 1, np.empty((0, 3), dtype=np.int64))
     with pytest.raises(ValueError):
         solve(empty, SolverConfig())
 
 
 def test_solve_out_of_range_index_raises():
-    bad = ConstraintSet(1, 1, np.array([[0, 1, 2]], dtype=np.int64), "hard")
+    bad = ConstraintSet(1, 1, np.array([[0, 1, 2]], dtype=np.int64))
     with pytest.raises(IndexError):
         solve(bad, SolverConfig())
 
@@ -250,7 +250,7 @@ def test_solve_table_reuses_a_set_by_content_and_returns_copies(monkeypatch):
     assert first.diagnostics == expected.diagnostics
     first.entries[:] = 99.0
     first.diagnostics["iterations"] = -1
-    same_content = ConstraintSet(7, 4, sets["soft"].triplets.copy(), "soft")
+    same_content = ConstraintSet(7, 4, sets["soft"].triplets.copy())
     for _ in range(2):
         hit = solve(same_content, config, table)
         assert np.array_equal(hit.entries, expected.entries)
@@ -259,7 +259,7 @@ def test_solve_table_reuses_a_set_by_content_and_returns_copies(monkeypatch):
     assert len(inner_calls) == 1
     # a new config, a new item count or new triplets is a new entry
     solve(sets["soft"], SolverConfig(lam=0.2), table)
-    solve(ConstraintSet(7, 5, sets["soft"].triplets, "soft"), config, table)
+    solve(ConstraintSet(7, 5, sets["soft"].triplets), config, table)
     solve(sets["hard"], config, table)
     assert len(inner_calls) == len(table) == 4
 
@@ -267,7 +267,7 @@ def test_solve_table_reuses_a_set_by_content_and_returns_copies(monkeypatch):
 def test_solve_toy_satisfies_constraints():
     gram = solve(_toy_constraints(), SolverConfig())
     assert isinstance(gram, GramMatrix)
-    assert gram.size == 3
+    assert gram.entries.shape == (3, 3)
     k = gram.entries
     d = np.diag(k)[:, None] + np.diag(k)[None, :] - 2 * k
     assert d[0, 1] < d[0, 2]
@@ -319,14 +319,14 @@ def test_extract_embedding_reproduces_gram():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((6, 3))
     x -= x.mean(axis=0)
-    gram = GramMatrix(size=6, entries=x @ x.T, diagnostics={})
+    gram = GramMatrix(entries=x @ x.T, diagnostics={})
     emb = extract_embedding(gram, 3)
     assert emb.shape == (6, 3)
     assert np.allclose(emb @ emb.T, gram.entries, atol=1e-8)
 
 
 def test_extract_embedding_rank_capping():
-    gram = GramMatrix(size=3, entries=np.eye(3), diagnostics={})
+    gram = GramMatrix(entries=np.eye(3), diagnostics={})
     emb = extract_embedding(gram, 2)
     assert emb.shape == (3, 2)
     with pytest.raises(ValueError):

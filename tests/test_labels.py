@@ -13,8 +13,7 @@ def _dataset_with(points, centroids):
     points = np.asarray(points, dtype=float)
     centroids = np.asarray(centroids, dtype=float)
     return LatentDataset(points=points, centroids=centroids,
-                         assignments=np.zeros(len(points), dtype=np.int64),
-                         d=points.shape[1], seed=0)
+                         assignments=np.zeros(len(points), dtype=np.int64))
 
 
 def test_hard_label_at_exact_centroid():

@@ -10,6 +10,7 @@ def test_round_robin_balance():
     ds = generate_dataset(n=6, k=3, d=5, sigma=0.5, seed=7)
     counts = np.bincount(ds.assignments, minlength=3)
     assert counts.tolist() == [2, 2, 2]
+    assert (ds.n, ds.k, ds.d) == (6, 3, 5)  # read off the arrays
 
 
 def test_tiny_sigma_points_stick_to_centroids():

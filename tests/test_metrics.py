@@ -44,13 +44,13 @@ def test_recovery_score_exact_geometry():
     ds = generate_dataset(n=6, k=3, d=3, seed=0)
     items = ds.all_items()
     centered = items - items.mean(axis=0)
-    gram = GramMatrix(size=9, entries=centered @ centered.T, diagnostics={})
+    gram = GramMatrix(entries=centered @ centered.T, diagnostics={})
     truth = similarity_matrix(centered, normalized=False)
     assert recovery_score(gram, truth) == pytest.approx(1.0)
 
 
 def test_recovery_score_size_mismatch():
-    gram = GramMatrix(size=3, entries=np.eye(3), diagnostics={})
+    gram = GramMatrix(entries=np.eye(3), diagnostics={})
     truth = similarity_matrix(np.eye(4))
     with pytest.raises(ValueError):
         recovery_score(gram, truth)

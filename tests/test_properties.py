@@ -235,7 +235,7 @@ def test_solver_permutation_equivariance(n, k, seed, perm_seed):
     m = cs.m
     perm = np.random.default_rng(perm_seed).permutation(m)
     permuted = type(cs)(n_points=cs.n_points, n_centroids=cs.n_centroids,
-                        triplets=perm[cs.triplets], source_kind=cs.source_kind)
+                        triplets=perm[cs.triplets])
     base = solve(cs, _FAST).entries
     shuffled = solve(permuted, _FAST).entries
     assert np.allclose(shuffled[np.ix_(perm, perm)], base, atol=1e-6)

@@ -322,13 +322,13 @@ def test_triplets_are_lexsorted_and_unique():
 def test_apply_noise_zero_and_one():
     ds = generate_dataset(n=6, k=3, d=3, seed=7)
     cs = mine_from_labels(soft_labels(ds))
+    original = cs.triplets.copy()
     same = apply_noise(cs, 0.0, seed=1)
     assert np.array_equal(same.triplets, cs.triplets)
     flipped = apply_noise(cs, 1.0, seed=1)
     assert np.array_equal(flipped.triplets[:, 1], cs.triplets[:, 2])
     assert np.array_equal(flipped.triplets[:, 2], cs.triplets[:, 1])
-    assert flipped.flip_rate == 1.0
-    assert cs.flip_rate == 0.0  # original untouched
+    assert np.array_equal(cs.triplets, original)  # original untouched
 
 
 def test_apply_noise_deterministic_and_partial():
@@ -344,7 +344,7 @@ def test_apply_noise_deterministic_and_partial():
 
 
 def test_apply_noise_rejects_bad_rate():
-    cs = ConstraintSet(1, 2, np.array([[0, 1, 2]], dtype=np.int64), "hard")
+    cs = ConstraintSet(1, 2, np.array([[0, 1, 2]], dtype=np.int64))
     with pytest.raises(ValueError):
         apply_noise(cs, -0.1, seed=0)
     with pytest.raises(ValueError):
@@ -354,15 +354,13 @@ def test_apply_noise_rejects_bad_rate():
 def test_constraint_csv_round_trip():
     ds = generate_dataset(n=7, k=3, d=3, seed=9)
     cs = apply_noise(mine_from_labels(soft_labels(ds)), 0.2, seed=3)
-    back = constraints_from_csv(constraints_to_csv(cs))
+    back = constraints_from_csv(constraints_to_csv(cs, "soft", 0.2))
     assert back.n_points == 7 and back.n_centroids == 3
-    assert back.source_kind == "soft"
-    assert back.flip_rate == 0.2
     assert np.array_equal(back.triplets, cs.triplets)
 
 
 def test_constraint_csv_empty_set():
-    empty = ConstraintSet(2, 1, np.empty((0, 3), dtype=np.int64), "soft")
+    empty = ConstraintSet(2, 1, np.empty((0, 3), dtype=np.int64))
     back = constraints_from_csv(constraints_to_csv(empty))
     assert len(back) == 0 and back.m == 3
 
@@ -370,6 +368,8 @@ def test_constraint_csv_empty_set():
 def test_constraint_csv_rejects_garbage():
     with pytest.raises(ValueError):
         constraints_from_csv("nope\n1,2\n")
+    with pytest.raises(ValueError):  # the flip rate is not kept, but it must be a number
+        constraints_from_csv("n,k,source_kind,flip_rate\n1,2,soft,x\nanchor,near,far\n")
 
 
 @settings(deadline=None, max_examples=80)
