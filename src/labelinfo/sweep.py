@@ -118,6 +118,13 @@ class SweepSpec:
                                  f"the smallest k in k_grid, {k}")
             if signal.kind is LabelKind.TOP_CLASS and n < 3:
                 raise ValueError(f"signal topclass needs n >= 3, got n_grid value {n}")
+        # the largest cell mines the most: PCA answers every query, class labels at most
+        # the tie-free count
+        n, k = max(self.n_grid), max(self.k_grid)
+        for signal in self.signals:
+            rows = (triplets.count_queries(n + k) if signal.kind is LabelKind.PCA_COORDS
+                    else triplets.count_soft(n, k))
+            triplets.check_size(f"cell n={n} k={k} {signal.kind.value}", n + k, rows)
 
     def cells(self):
         """Deterministic cell order; one result row per cell."""

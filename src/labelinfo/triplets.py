@@ -10,9 +10,9 @@ exactly when the anchor's score for `near` is strictly larger than for
 `far`, so ties emit nothing. Mined rows come out in lexicographic
 (anchor, near, far) order by construction, as one C-contiguous int32
 (T, 3) array. A PCA set has 3 * C(m, 3) rows, so int32 halves the memory
-of the program's largest arrays; an index fits as long as m < 2^31. The
-solver widens the indices to intp before it gathers with them, because
-numpy's `take` is several times slower with int32 indices.
+of the program's largest arrays. The solver widens the indices to intp
+before it gathers with them, because numpy's `take` is several times slower
+with int32 indices.
 """
 from __future__ import annotations
 
@@ -24,7 +24,11 @@ import numpy as np
 
 from .labels import LabelKind, LabelSet
 
-_MAX_ITEMS = np.iinfo(np.int32).max
+# The largest set a sweep config or a constraint CSV may ask to mine and solve: over 10x
+# the largest any workload, driver or battery check uses (the mining workload's PCA set at
+# n = k = 40: 246,480 rows over 80 items). At MAX_ITEMS, an m x m float64 matrix is 32 MB.
+MAX_ROWS = 2_500_000
+MAX_ITEMS = 2_000
 
 
 @dataclass(frozen=True)
@@ -128,13 +132,17 @@ def count_soft(n: int, k: int) -> int:
     return prod // 2
 
 
+def count_queries(m: int) -> int:
+    """All unique triplet queries over m items: three anchors per unordered item triple."""
+    return 3 * comb(m, 3)
+
+
 def information_ratio(constraint_count, n: int, k: int) -> float:
     """Fraction of all 3*C(n+k, 3) unique queries answered by a constraint set."""
     m = n + k
     if m < 3:
         raise ValueError(f"need n + k >= 3 items for any triplet query, got {m}")
-    total = 3 * comb(m, 3)
-    return float(Fraction(constraint_count) / total)
+    return float(Fraction(constraint_count) / count_queries(m))
 
 
 def apply_noise(constraints: ConstraintSet, epsilon: float, seed: int) -> ConstraintSet:
@@ -150,13 +158,22 @@ def apply_noise(constraints: ConstraintSet, epsilon: float, seed: int) -> Constr
     return replace(constraints, triplets=triplets)
 
 
+def check_size(where: str, n_items: int, rows: int) -> None:
+    """Reject a set of more than MAX_ITEMS items or MAX_ROWS triplets before it is built."""
+    if n_items > MAX_ITEMS:
+        raise ValueError(f"{where}: {n_items} items exceed the item limit of {MAX_ITEMS}")
+    if rows > MAX_ROWS:
+        raise ValueError(f"{where}: {rows} triplets exceed the row limit of {MAX_ROWS}")
+
+
 def constraints_from_csv(text: str) -> ConstraintSet:
     """Read a constraint set: the header `n,k,source_kind,flip_rate`, its one
     row of values, the header `anchor,near,far`, then one row per triplet.
 
-    A malformed header, a negative n or k, or a row that is not three
-    integer indices in [0, n + k) is a ValueError. The header's source kind
-    and flip rate are read, and the rate must be a number, but neither is kept.
+    A malformed header, a negative n or k, a set that `check_size` rejects
+    (checked before any row is parsed), or a row that is not three integer
+    indices in [0, n + k) is a ValueError. The header's source kind and flip
+    rate are read, and the rate must be a number, but neither is kept.
     """
     lines = [ln for ln in text.splitlines() if ln]
     if len(lines) < 3 or lines[0] != "n,k,source_kind,flip_rate" or lines[2] != "anchor,near,far":
@@ -164,9 +181,10 @@ def constraints_from_csv(text: str) -> ConstraintSet:
     n_str, k_str, _, flip = lines[1].split(",")
     n, k = int(n_str), int(k_str)
     float(flip)  # a rate that is not a number is malformed
-    if n < 0 or k < 0 or n + k > _MAX_ITEMS:
-        raise ValueError(f"n and k must be >= 0 with n + k <= {_MAX_ITEMS}, got n={n}, k={k}")
+    if n < 0 or k < 0:
+        raise ValueError(f"n and k must be >= 0, got n={n}, k={k}")
     m = n + k
+    check_size(f"n={n} k={k}", m, len(lines) - 3)
     rows = []
     for number, line in enumerate(lines[3:], start=1):
         try:

@@ -11,7 +11,7 @@ import pytest
 from conftest import constraints_to_csv
 
 import labelinfo
-from labelinfo import cli, gnmds, render, sweep
+from labelinfo import cli, gnmds, render, sweep, triplets
 from labelinfo.cli import main
 from labelinfo.gnmds import solve
 from labelinfo.labels import LabelKind, soft_labels
@@ -130,12 +130,15 @@ def test_run_sweep_serial_matches_parallel():
 
 
 # At d = 3 and d = 5, PCA k_hat = 10 mines the same set as k_hat = 5, and the
-# hard set depends only on class membership, so it repeats across d and reps:
-# 12 cells, 5 distinct constraint sets.
+# hard set depends only on class membership, so it repeats across d and reps.
+# Smoothed labels mine the hard set, so they add cells but no solve: 20 cells,
+# 8 distinct constraint sets.
 REPEATS = SweepSpec(n_grid=(3,), k_grid=(4,), d_grid=(3, 5),
                     signals=(SignalSpec(LabelKind.HARD),
                              SignalSpec(LabelKind.PCA_COORDS, k_hat=5),
-                             SignalSpec(LabelKind.PCA_COORDS, k_hat=10)),
+                             SignalSpec(LabelKind.PCA_COORDS, k_hat=10),
+                             SignalSpec(LabelKind.SMOOTHED),
+                             SignalSpec(LabelKind.TYPICALITY)),
                     reps=2, base_seed=5)
 
 
@@ -155,12 +158,27 @@ def test_run_sweep_rows_equal_cells_solved_alone(workers):
     rows, _ = run_sweep(REPEATS, workers=workers)
     assert rows_to_csv(rows, SWEEP_COLUMNS) == rows_to_csv(alone, SWEEP_COLUMNS)
     assert all(row["status"] == "ok" for row in rows)
+    smoothed, hard = ([{**row, "kind": ""} for row in rows if row["kind"] == kind]
+                      for kind in ("smoothed", "hard"))
+    assert len(smoothed) == 4 and smoothed == hard  # equal in every column but kind
+
+
+def test_typicality_labels_score_each_point_by_its_soft_mass_on_its_hard_class():
+    for n, k, d, signal, _, rep in REPEATS.cells():
+        if signal.kind is not LabelKind.TYPICALITY:
+            continue
+        dataset = generate_dataset(n=n, k=k, d=d, sigma=REPEATS.sigma,
+                                   seed=derive_seed(REPEATS.base_seed, n=n, k=k, d=d, rep=rep))
+        hard = np.argmax(build_labels(dataset, SignalSpec(LabelKind.HARD)).values, axis=1)
+        points = np.arange(n)
+        typical = build_labels(dataset, SignalSpec(LabelKind.TYPICALITY)).values
+        assert np.array_equal(typical[points, hard], soft_labels(dataset).values[points, hard])
 
 
 def test_run_sweep_solves_each_distinct_set_once_per_call(monkeypatch):
     distinct = _distinct_sets(REPEATS)
     cells = len(list(REPEATS.cells()))
-    assert distinct == 5 and cells == 12
+    assert distinct == 8 and cells == 20
     outer, inner = [], []
     monkeypatch.setattr(sweep, "solve",
                         lambda *args: outer.append(1) or gnmds.solve(*args))
@@ -443,6 +461,16 @@ def test_cli_embed(tmp_path):
     emb = np.array([[float(v) for v in ln.split(",")]
                     for ln in (out / "embedding.csv").read_text().splitlines()])
     assert emb.shape == (7, 3)
+
+
+def test_cli_embed_failed_solve_writes_nothing(tmp_path, capsys):
+    constraints_path = tmp_path / "constraints.csv"
+    constraints_path.write_text("n,k,source_kind,flip_rate\n3,0,x,0.0\nanchor,near,far\n")
+    cfg = _write_config(tmp_path, "embed.json", {"constraints_csv": str(constraints_path)})
+    out = tmp_path / "out"
+    assert main(["embed", "--config", cfg, "--out", str(out)]) == 1
+    assert "embed: solve failed: cannot solve an empty constraint set" in capsys.readouterr().err
+    assert not out.exists()  # neither gram.csv nor a manifest
 
 
 def test_cli_sparsity_then_tradeoff(tmp_path):
@@ -844,11 +872,16 @@ def test_cli_embed_constraints_path_that_is_not_a_string_is_usage_error(tmp_path
     ("2,1", "0,1.0,2", "constraint row 2"),
     ("-1,4", "0,1,2", "n and k must be >= 0"),
     ("2,-1", "0,1,2", "n and k must be >= 0"),
-    ("2147483647,1", "0,1,2", "n and k must be >= 0 with n + k <= 2147483647"),
+    ("2147483647,1", "0,1,2", "n=2147483647 k=1: 2147483648 items exceed the item limit of 2000"),
+    ("1000000,0", "0,1,2", "n=1000000 k=0: 1000000 items exceed the item limit of 2000"),
+    ("2,1", "0,1,2\n0,2,1", "n=2 k=1: 3 triplets exceed the row limit of 2"),
 ], ids=["huge_index", "index_past_m", "negative_index", "two_fields", "four_fields",
-        "not_a_number", "float_index", "negative_n", "negative_k", "m_past_int32"])
+        "not_a_number", "float_index", "negative_n", "negative_k", "m_past_int32",
+        "m_past_item_limit", "rows_past_row_limit"])
 def test_cli_embed_malformed_constraints_csv_is_usage_error(tmp_path, monkeypatch, capsys,
                                                            header, row, error):
+    # every other case has two rows, so only the three-row set crosses this row limit
+    monkeypatch.setattr(triplets, "MAX_ROWS", 2)
     constraints_csv = tmp_path / "constraints.csv"
     constraints_csv.write_text(f"n,k,source_kind,flip_rate\n{header},soft,0.0\n"
                                f"anchor,near,far\n1,0,2\n{row}\n")
@@ -975,18 +1008,27 @@ def test_cli_manifest_is_written_by_every_command_but_defaults(tmp_path):
      "signal topclass k_hat 5 exceeds the smallest k in k_grid, 3"),
     ({"n_grid": [4, 2]}, {"kind": "topclass", "k_hat": 1},
      "signal topclass needs n >= 3, got n_grid value 2"),
-], ids=["sparse_k_hat", "topclass_k_hat", "topclass_n"])
-def test_sweep_rejects_partial_signals_the_grid_cannot_build(tmp_path, capsys, grids, signal,
-                                                            message):
-    config = {"n_grid": [3], "k_grid": [4], "d_grid": [3], "reps": 1, **grids,
-              "signals": [{"kind": "hard"}, signal]}
+    # the largest cell would mine and solve a set past a size limit
+    ({"n_grid": [3, 100000], "k_grid": [2]}, {"kind": "soft"},
+     "cell n=100000 k=2 hard: 100002 items exceed the item limit of 2000"),
+    ({"n_grid": [40], "k_grid": [1000]}, {"kind": "soft"},
+     "cell n=40 k=1000 hard: 20760000 triplets exceed the row limit of 2500000"),
+    ({"n_grid": [100], "k_grid": [100]}, {"kind": "pca", "k_hat": 2},
+     "cell n=100 k=100 pca: 3940200 triplets exceed the row limit of 2500000"),
+], ids=["sparse_k_hat", "topclass_k_hat", "topclass_n", "items_past_limit",
+        "class_rows_past_limit", "pca_rows_past_limit"])
+def test_sweep_rejects_partial_signals_the_grid_cannot_build(tmp_path, monkeypatch, capsys,
+                                                            grids, signal, message):
+    base = {"n_grid": [3], "k_grid": [4], "d_grid": [3], "reps": 1}
+    config = {**base, **grids, "signals": [{"kind": "hard"}, signal]}
     with pytest.raises(ValueError, match=message):
         SweepSpec.from_dict(config)
+    monkeypatch.setattr(sweep, "run_sweep", lambda *_, **__: pytest.fail("ran a cell"))
     out = tmp_path / "out"
     assert main(["simulate", "--config", _write_config(tmp_path, "c.json", config),
                  "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
     # PCA k_hat may exceed k, and a sparse label needs no third point
-    SweepSpec.from_dict({**config, "signals": [{"kind": "pca", "k_hat": 5}]})
-    SweepSpec.from_dict({**config, "n_grid": [2], "signals": [{"kind": "sparse", "k_hat": 1}]})
+    SweepSpec.from_dict({**base, "k_grid": [3], "signals": [{"kind": "pca", "k_hat": 5}]})
+    SweepSpec.from_dict({**base, "n_grid": [2], "signals": [{"kind": "sparse", "k_hat": 1}]})

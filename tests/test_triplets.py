@@ -10,9 +10,9 @@ from labelinfo.labels import (LabelKind, LabelSet, hard_labels, pca_encode,
                               smooth_labels, soft_labels, sparsify_labels,
                               topclass_labels, typicality_labels)
 from labelinfo.latentgen import generate_dataset, similarity_matrix
-from labelinfo.triplets import (ConstraintSet, apply_noise, constraints_from_csv,
-                                count_hard, count_soft, information_ratio,
-                                mine_from_coordinates, mine_from_labels)
+from labelinfo.triplets import (MAX_ITEMS, MAX_ROWS, ConstraintSet, apply_noise,
+                                constraints_from_csv, count_hard, count_queries, count_soft,
+                                information_ratio, mine_from_coordinates, mine_from_labels)
 
 _EMPTY = np.empty((0, 3), dtype=np.int64)
 
@@ -363,6 +363,12 @@ def test_constraint_csv_empty_set():
     empty = ConstraintSet(2, 1, np.empty((0, 3), dtype=np.int64))
     back = constraints_from_csv(constraints_to_csv(empty))
     assert len(back) == 0 and back.m == 3
+
+
+def test_size_limits_leave_headroom_over_the_largest_set_in_use():
+    # PCA at n = k = 40, in the mining benchmark workload, is the largest set any run mines
+    assert count_queries(80) == 246_480
+    assert MAX_ROWS >= 10 * count_queries(80) and MAX_ITEMS >= 10 * 80
 
 
 def test_constraint_csv_rejects_garbage():
