@@ -26,6 +26,7 @@ from .labels import (CLASS_TRUNCATIONS, PARTIAL_KINDS, LabelKind, LabelSet, hard
 from .latentgen import LatentDataset, generate_dataset, similarity_matrix
 from .metrics import recovery_score
 from .render import rows_to_csv
+from .triplets import mine_constraints
 
 CELL_COLUMNS = ("n", "k", "d", "kind", "k_hat", "epsilon", "seed")  # name a cell
 SWEEP_COLUMNS = CELL_COLUMNS + (
@@ -173,12 +174,6 @@ def build_labels(dataset: LatentDataset, signal: SignalSpec) -> LabelSet:
     if kind is LabelKind.PCA_COORDS:
         return pca_encode(dataset, min(signal.k_hat, dataset.d, dataset.n + dataset.k))
     raise ValueError(f"no label builder for kind {kind!r}")
-
-
-def mine_constraints(labels: LabelSet, n_points: int) -> triplets.ConstraintSet:
-    if labels.kind is LabelKind.PCA_COORDS:
-        return triplets.mine_from_coordinates(labels, n_points)
-    return triplets.mine_from_labels(labels)
 
 
 def evaluate_cell(spec: SweepSpec, cell, table: dict | None = None) -> tuple[dict, float]:

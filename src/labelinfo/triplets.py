@@ -5,14 +5,14 @@ Items live in a combined index space: points occupy [0, n) and centroids
 embedding is closer to `near` than to `far`; each such one-bit query appears
 at most once per mined set.
 
-Every miner compares nearness scores directly: it emits (anchor, near, far)
-exactly when the anchor's score for `near` is strictly larger than for
-`far`, so ties emit nothing. Mined rows come out in lexicographic
-(anchor, near, far) order by construction, as one C-contiguous int32
-(T, 3) array. A PCA set has 3 * C(m, 3) rows, so int32 halves the memory
-of the program's largest arrays. The solver widens the indices to intp
-before it gathers with them, because numpy's `take` is several times slower
-with int32 indices.
+One miner serves every label kind. It reads a label set as blocks of
+nearness scores and emits (anchor, near, far) exactly when the anchor's
+score for `near` is strictly larger than for `far`, so ties emit nothing.
+Mined rows come out in lexicographic (anchor, near, far) order by
+construction, as one C-contiguous int32 (T, 3) array. A PCA set has
+3 * C(m, 3) rows, so int32 halves the memory of the program's largest
+arrays. The solver widens the indices to intp before it gathers with them,
+because numpy's `take` is several times slower with int32 indices.
 """
 from __future__ import annotations
 
@@ -56,52 +56,42 @@ def _nearer(scores: np.ndarray) -> np.ndarray:
     return scores[:, :, None] > scores[:, None, :]
 
 
-def mine_from_labels(labels: LabelSet) -> ConstraintSet:
-    """All constraints implied by strict value comparisons in an n-by-k label matrix.
+def mine_constraints(labels: LabelSet, n_points: int) -> ConstraintSet:
+    """Every constraint that a strict comparison of nearness scores in `labels` answers.
 
-    Point-anchored: within each row, a class with strictly larger mass is
-    nearer than one with smaller mass. Centroid-anchored: for each class
-    column, any point with strictly larger mass is nearer to that centroid
-    than any point with smaller mass. Ties (including zero-vs-zero ties
-    created by sparsification) emit nothing, so a hard label's one-hot row
-    answers only the queries its class decides.
+    Class labels (n_points rows) are two blocks of scores: each point scores the
+    classes by its masses, and each centroid the points by their masses in its
+    class, so a hard label answers only the queries its class decides. Coordinates
+    (m rows, points first) are one block, the negative squared distances between items.
     """
-    if labels.kind is LabelKind.PCA_COORDS:
-        raise TypeError("mine_from_labels takes class labels; "
-                        "mine coordinates with mine_from_coordinates")
     values = labels.values
-    n, k = values.shape
-    rows, cols = _nearer(values), _nearer(values.T)
-    split = np.count_nonzero(rows)
-    # Allocating the kept array before np.nonzero's index arrays lowers peak RSS
-    # when many sets are held at once (155.0 against 156.6 MB on `mining`, with
-    # int64 rows).
-    triplets = np.empty((split + np.count_nonzero(cols), 3), dtype=np.int32)
-    np.stack(np.nonzero(rows), axis=1, out=triplets[:split])
-    np.stack(np.nonzero(cols), axis=1, out=triplets[split:])
-    triplets[:split, 1] += n
-    triplets[:split, 2] += n
-    triplets[split:, 0] += n
-    return ConstraintSet(n_points=n, n_centroids=k, triplets=triplets)
-
-
-def mine_from_coordinates(labels: LabelSet, n_points: int) -> ConstraintSet:
-    """Answer every unique triplet query by Euclidean distance in the encoded space.
-
-    With m items there are 3 * C(m, 3) unique queries (three anchors per
-    unordered item triple); exact distance ties are skipped.
-    """
-    if labels.kind is not LabelKind.PCA_COORDS:
-        raise TypeError(f"mine_from_coordinates requires coordinate labels, got {labels.kind.value}")
-    coords = labels.values
-    m = coords.shape[0]
-    if not 0 <= n_points <= m:
-        raise ValueError(f"n_points must lie in [0, {m}], got {n_points}")
-    nearness = -_squared_distances(coords)
-    np.fill_diagonal(nearness, np.nan)  # an anchor is never its own near or far item
-    mask = _nearer(nearness)
-    triplets = np.empty((np.count_nonzero(mask), 3), dtype=np.int32)
-    np.stack(np.nonzero(mask), axis=1, out=triplets)
+    if labels.kind is LabelKind.PCA_COORDS:
+        m = values.shape[0]
+        if not 0 <= n_points <= m:
+            raise ValueError(f"n_points must lie in [0, {m}], got {n_points}")
+        nearness = -_squared_distances(values)
+        np.fill_diagonal(nearness, np.nan)  # an anchor is never its own near or far item
+        masks = [(_nearer(nearness), 0, 0)]
+    else:
+        if values.shape[0] != n_points:
+            raise ValueError(f"class labels have {values.shape[0]} rows, not n_points={n_points}")
+        m = n_points + values.shape[1]
+        masks = [(_nearer(values), 0, n_points), (_nearer(values.T), n_points, 0)]
+    # (mask, anchor offset, item offset): a mask's indices count from 0
+    counts = [np.count_nonzero(mask) for mask, _, _ in masks]
+    # Allocating the kept array before np.nonzero's index arrays lowers peak RSS when many
+    # sets are held at once (155.0 against 156.6 MB on `mining`, with int64 rows).
+    triplets = np.empty((sum(counts), 3), dtype=np.int32)
+    start = 0
+    for (mask, anchor, item), count in zip(masks, counts):
+        block = triplets[start:start + count]
+        start += count
+        np.stack(np.nonzero(mask), axis=1, out=block)
+        if anchor:
+            block[:, 0] += anchor
+        if item:  # one column at a time: a (T, 2) view would add in runs of two
+            block[:, 1] += item
+            block[:, 2] += item
     return ConstraintSet(n_points=n_points, n_centroids=m - n_points, triplets=triplets)
 
 

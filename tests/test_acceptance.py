@@ -33,7 +33,7 @@ from labelinfo.metrics import recovery_score
 from labelinfo.render import rows_to_csv
 from labelinfo.sweep import SWEEP_COLUMNS, SignalSpec, SweepSpec, run_sweep
 from labelinfo.triplets import (ConstraintSet, count_hard, count_soft,
-                                information_ratio, mine_from_labels)
+                                information_ratio, mine_constraints)
 
 _ELAPSED: dict[str, float] = {}
 
@@ -93,14 +93,14 @@ def test_criterion_01_closed_form_counts_match_brute_force():
         assert np.all(np.bincount(classes, minlength=k) == n // k), \
             f"unbalanced hard labels at (n={n}, k={k})"
 
-        mined_h = {tuple(t) for t in mine_from_labels(hard).triplets.tolist()}
+        mined_h = {tuple(t) for t in mine_constraints(hard, n).triplets.tolist()}
         assert mined_h == _enumerate_constraints(hard.values)
         expected_h = Fraction(n * (k - 1)) + Fraction(n * n) * (1 - Fraction(1, k))
         assert Fraction(len(mined_h)) == expected_h == count_hard(n, k)
 
         soft = soft_labels(ds)
         assert _tie_free(soft.values), f"soft ties at (n={n}, k={k})"
-        mined_s = {tuple(t) for t in mine_from_labels(soft).triplets.tolist()}
+        mined_s = {tuple(t) for t in mine_constraints(soft, n).triplets.tolist()}
         assert mined_s == _enumerate_constraints(soft.values)
         assert len(mined_s) == k * n * (k + n - 2) // 2 == count_soft(n, k)
     elapsed = time.perf_counter() - t0

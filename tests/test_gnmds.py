@@ -15,8 +15,7 @@ from labelinfo.labels import hard_labels, pca_encode, soft_labels
 from labelinfo.latentgen import generate_dataset
 from labelinfo.render import matrix_to_csv
 from labelinfo.sweep import derive_seed
-from labelinfo.triplets import (ConstraintSet, apply_noise,
-                                mine_from_coordinates, mine_from_labels)
+from labelinfo.triplets import ConstraintSet, apply_noise, mine_constraints
 
 
 def _toy_constraints():
@@ -86,11 +85,11 @@ def _reference_solve(constraints: ConstraintSet, config: SolverConfig) -> GramMa
 
 def _oracle_sets():
     ds = generate_dataset(n=7, k=4, d=3, seed=21)
-    soft = mine_from_labels(soft_labels(ds))
+    soft = mine_constraints(soft_labels(ds), ds.n)
     return {
-        "hard": mine_from_labels(hard_labels(ds)),
+        "hard": mine_constraints(hard_labels(ds), ds.n),
         "soft": soft,
-        "pca": mine_from_coordinates(pca_encode(ds, 2), ds.n),
+        "pca": mine_constraints(pca_encode(ds, 2), ds.n),
         "noisy": apply_noise(soft, 0.2, seed=3),
     }
 
@@ -114,7 +113,7 @@ def test_solve_matches_reference_loop_bit_for_bit(kind, config):
 def test_solve_gives_the_same_bytes_for_int32_and_int64_indices():
     """Mined sets are int32; a set built as int64 must solve to the same bytes."""
     ds = generate_dataset(n=8, k=6, d=4, seed=3)
-    narrow = apply_noise(mine_from_labels(soft_labels(ds)), 0.1, seed=2)
+    narrow = apply_noise(mine_constraints(soft_labels(ds), ds.n), 0.1, seed=2)
     assert narrow.triplets.dtype == np.int32
     wide = ConstraintSet(narrow.n_points, narrow.n_centroids,
                          narrow.triplets.astype(np.int64))
@@ -155,7 +154,7 @@ def test_default_tolerance_stops_a_large_solve_before_the_cap():
     # battery check 6's (20, 20) dataset at rep 0, PCA k_hat = 2: 29,640 triplets,
     # which ran to the 2,000-iteration cap under a tolerance of 1e-6
     ds = generate_dataset(n=20, k=20, d=5, seed=derive_seed(23, n=20, k=20, d=5, rep=0))
-    diag = solve(mine_from_coordinates(pca_encode(ds, 2), ds.n)).diagnostics
+    diag = solve(mine_constraints(pca_encode(ds, 2), ds.n)).diagnostics
     assert diag["stop_reason"] == "tolerance"
     assert diag["iterations"] < SolverConfig().max_iterations
 
@@ -277,7 +276,7 @@ def test_solve_toy_satisfies_constraints():
 
 def test_solve_result_is_psd_and_centered():
     ds = generate_dataset(n=6, k=3, d=3, seed=1)
-    gram = solve(mine_from_labels(soft_labels(ds)), SolverConfig())
+    gram = solve(mine_constraints(soft_labels(ds), ds.n), SolverConfig())
     vals = np.linalg.eigvalsh(gram.entries)
     assert vals.min() >= -1e-8
     assert np.abs(gram.entries.sum(axis=0)).max() < 1e-8
@@ -285,7 +284,7 @@ def test_solve_result_is_psd_and_centered():
 
 def test_solve_objective_never_worse_than_start():
     ds = generate_dataset(n=5, k=3, d=3, seed=4)
-    gram = solve(mine_from_labels(hard_labels(ds)), SolverConfig())
+    gram = solve(mine_constraints(hard_labels(ds), ds.n), SolverConfig())
     diag = gram.diagnostics
     assert diag["final_objective"] <= diag["initial_objective"] + 1e-12
     assert set(diag) == {"initial_objective", "final_objective",
@@ -295,7 +294,7 @@ def test_solve_objective_never_worse_than_start():
 
 def test_solve_deterministic():
     ds = generate_dataset(n=7, k=3, d=3, seed=5)
-    cs = mine_from_labels(soft_labels(ds))
+    cs = mine_constraints(soft_labels(ds), ds.n)
     a = solve(cs, SolverConfig())
     b = solve(cs, SolverConfig())
     assert np.array_equal(a.entries, b.entries)
@@ -304,7 +303,7 @@ def test_solve_deterministic():
 
 def test_solve_attains_high_satisfaction_on_consistent_sets():
     ds = generate_dataset(n=8, k=4, d=3, seed=6)
-    gram = solve(mine_from_labels(hard_labels(ds)), SolverConfig())
+    gram = solve(mine_constraints(hard_labels(ds), ds.n), SolverConfig())
     assert gram.diagnostics["satisfied_fraction"] >= 0.95
 
 
@@ -337,7 +336,7 @@ def test_extract_embedding_rank_capping():
 
 def test_embedding_respects_solved_constraints():
     ds = generate_dataset(n=6, k=3, d=3, seed=11)
-    cs = mine_from_labels(hard_labels(ds))
+    cs = mine_constraints(hard_labels(ds), ds.n)
     gram = solve(cs, SolverConfig())
     emb = extract_embedding(gram, 3)
     assert satisfied_share(cs.triplets, emb) >= 0.95
@@ -345,7 +344,7 @@ def test_embedding_respects_solved_constraints():
 
 def test_gram_csv_round_trip():
     ds = generate_dataset(n=4, k=2, d=2, seed=3)
-    gram = solve(mine_from_labels(soft_labels(ds)), SolverConfig())
+    gram = solve(mine_constraints(soft_labels(ds), ds.n), SolverConfig())
     back = np.loadtxt(io.StringIO(matrix_to_csv(gram.entries)), delimiter=",")
     assert np.array_equal(back, gram.entries)
 

@@ -17,7 +17,7 @@ from labelinfo.latentgen import generate_dataset, similarity_matrix
 from labelinfo.metrics import spearman
 from labelinfo.sweep import SignalSpec, SweepSpec, run_sweep
 from labelinfo.triplets import (apply_noise, count_hard, count_soft, information_ratio,
-                                mine_from_labels)
+                                mine_constraints)
 
 N200 = settings(deadline=None, max_examples=200)
 
@@ -87,8 +87,8 @@ def test_argmax_preservation_under_smoothing_and_sparsify(n, k, d, seed, data):
     assert np.array_equal(np.argmax(smoothed.values, axis=1),
                           np.argmax(hard.values, axis=1))
     # so every rate below (k-1)/k mines exactly the hard set
-    assert (mine_from_labels(smoothed).triplets.tobytes()
-            == mine_from_labels(hard).triplets.tobytes())
+    assert (mine_constraints(smoothed, n).triplets.tobytes()
+            == mine_constraints(hard, n).triplets.tobytes())
     k_hat = data.draw(st.integers(1, k))
     sparse = sparsify_labels(soft, k_hat)
     top = np.argmax(soft.values, axis=1)
@@ -143,11 +143,11 @@ def test_count_formulas_and_dedup(per_class, k, d, seed):
     # tiny spread keeps every point nearest its own centroid, so hard labels
     # stay balanced — the count formula's precondition
     tight = generate_dataset(n=n, k=k, d=d, sigma=1e-9, seed=seed)
-    hard_cs = mine_from_labels(hard_labels(tight))
+    hard_cs = mine_constraints(hard_labels(tight), tight.n)
     assert len(hard_cs) == count_hard(n, k)
     ds = _tiny_dataset(n, k, d, seed)
     soft = soft_labels(ds)
-    soft_cs = mine_from_labels(soft)
+    soft_cs = mine_constraints(soft, n)
     if _has_exact_ties(soft.values):
         assert len(soft_cs) < count_soft(n, k)  # ties emit nothing
     else:
@@ -165,7 +165,7 @@ def test_count_formulas_and_dedup(per_class, k, d, seed):
 def test_point_anchored_constraints_respect_geometry(n, k, d, seed):
     ds = _tiny_dataset(n, k, d, seed)
     coords = ds.all_items()
-    for cs in (mine_from_labels(hard_labels(ds)), mine_from_labels(soft_labels(ds))):
+    for cs in (mine_constraints(hard_labels(ds), ds.n), mine_constraints(soft_labels(ds), ds.n)):
         point_anchored = cs.triplets[cs.triplets[:, 0] < n]
         if len(point_anchored):
             assert satisfied_share(point_anchored, coords) == 1.0
@@ -194,7 +194,7 @@ def test_soft_counts_dominate_hard_when_classes_outnumber_points(n, k):
        st.floats(0.0, 1.0), seeds, seeds)
 def test_noise_preserves_count_and_anchors(n, k, d, eps, seed, noise_seed):
     ds = _tiny_dataset(n, k, d, seed)
-    cs = mine_from_labels(soft_labels(ds))
+    cs = mine_constraints(soft_labels(ds), ds.n)
     noisy = apply_noise(cs, eps, noise_seed)
     assert len(noisy) == len(cs)
     assert np.array_equal(noisy.triplets[:, 0], cs.triplets[:, 0])
@@ -208,7 +208,7 @@ def test_noise_preserves_count_and_anchors(n, k, d, eps, seed, noise_seed):
 @given(st.integers(2, 5), st.integers(2, 4), seeds)
 def test_solver_output_psd_symmetric_monotone(n, k, seed):
     ds = _tiny_dataset(n, k, 3, seed)
-    gram = solve(mine_from_labels(soft_labels(ds)), _FAST)
+    gram = solve(mine_constraints(soft_labels(ds), ds.n), _FAST)
     entries = gram.entries
     assert np.allclose(entries, entries.T, atol=1e-10)
     assert np.linalg.eigvalsh(entries).min() >= -1e-8
@@ -220,7 +220,7 @@ def test_solver_output_psd_symmetric_monotone(n, k, seed):
 @given(st.integers(2, 5), st.integers(2, 4), seeds)
 def test_solver_determinism(n, k, seed):
     ds = _tiny_dataset(n, k, 3, seed)
-    cs = mine_from_labels(hard_labels(ds))
+    cs = mine_constraints(hard_labels(ds), ds.n)
     a = solve(cs, _FAST)
     b = solve(cs, _FAST)
     assert np.array_equal(a.entries, b.entries)
@@ -231,7 +231,7 @@ def test_solver_determinism(n, k, seed):
 @given(st.integers(2, 4), st.integers(2, 3), seeds, seeds)
 def test_solver_permutation_equivariance(n, k, seed, perm_seed):
     ds = _tiny_dataset(n, k, 3, seed)
-    cs = mine_from_labels(soft_labels(ds))
+    cs = mine_constraints(soft_labels(ds), ds.n)
     m = cs.m
     perm = np.random.default_rng(perm_seed).permutation(m)
     permuted = type(cs)(n_points=cs.n_points, n_centroids=cs.n_centroids,

@@ -22,7 +22,6 @@ from labelinfo.render import (curve_panel, pivot_rows, render_curve_panels, rend
 from labelinfo.sweep import (SWEEP_COLUMNS, SignalSpec, SweepSpec, _single_threaded_blas,
                              build_labels, derive_seed, evaluate_cell, mine_constraints,
                              run_sweep, timings_to_csv)
-from labelinfo.triplets import mine_from_labels
 
 TINY = SweepSpec(n_grid=(3,), k_grid=(4,), d_grid=(3,),
                  signals=(SignalSpec(LabelKind.HARD), SignalSpec(LabelKind.SOFT)),
@@ -101,7 +100,7 @@ def test_evaluate_cell_ok_row():
     assert wall > 0
     # rho scores the solved Gram against the cosines of all n + k items
     ds = generate_dataset(n=3, k=4, d=3, sigma=TINY.sigma, seed=row["seed"])
-    gram = solve(mine_from_labels(soft_labels(ds)), TINY.solver)
+    gram = solve(mine_constraints(soft_labels(ds), ds.n), TINY.solver)
     assert row["rho"] == recovery_score(gram, similarity_matrix(ds.all_items()))
     # paired datasets: hard cell at same (n,k,d,rep) shares the seed
     hard_row, _ = evaluate_cell(TINY, (3, 4, 3, SignalSpec(LabelKind.HARD), 0.0, 0))
@@ -446,7 +445,7 @@ def test_cli_analyze_rejects_counts_that_are_not_integers(tmp_path, capsys, grid
 
 def test_cli_embed(tmp_path):
     ds = generate_dataset(n=4, k=3, d=3, seed=2)
-    cs = mine_from_labels(soft_labels(ds))
+    cs = mine_constraints(soft_labels(ds), ds.n)
     constraints_path = tmp_path / "constraints.csv"
     constraints_path.write_text(constraints_to_csv(cs))
     cfg = _write_config(tmp_path, "embed.json", {
@@ -641,7 +640,7 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     assert not (out / "sparsity.csv").exists()
     constraints_csv = tmp_path / "constraints.csv"
     constraints_csv.write_text(constraints_to_csv(
-        mine_from_labels(soft_labels(generate_dataset(n=4, k=3, d=3, seed=2)))))
+        mine_constraints(soft_labels(generate_dataset(n=4, k=3, d=3, seed=2)), 4)))
     for command, payload, key in [
             ("simulate", {"solver": {"stepsize": 0.1}}, "unknown solver config keys: stepsize"),
             ("simulate", {"solver": {"step_size": 0.01}}, "unknown solver config keys: step_size"),
@@ -677,7 +676,7 @@ def test_cli_tradeoff_non_integer_cell_is_usage_error(tmp_path, capsys, key):
 def test_cli_embed_rejects_a_bad_rank_before_solving(tmp_path, monkeypatch, capsys, rank):
     constraints_path = tmp_path / "constraints.csv"
     constraints_path.write_text(constraints_to_csv(
-        mine_from_labels(soft_labels(generate_dataset(n=4, k=3, d=3, seed=2)))))
+        mine_constraints(soft_labels(generate_dataset(n=4, k=3, d=3, seed=2)), 4)))
     cfg = _write_config(tmp_path, "embed.json", {
         "constraints_csv": str(constraints_path), "embedding_rank": rank})
     monkeypatch.setattr(cli, "solve", lambda *_: pytest.fail("solved before the check"))
@@ -920,7 +919,7 @@ def test_cli_real_config_values_reject_bools_and_non_numbers(tmp_path, capsys, c
                                                              config, message):
     constraints_csv = tmp_path / "constraints.csv"
     constraints_csv.write_text(constraints_to_csv(
-        mine_from_labels(soft_labels(generate_dataset(n=4, k=3, d=3, seed=2)))))
+        mine_constraints(soft_labels(generate_dataset(n=4, k=3, d=3, seed=2)), 4)))
     sweep_csv = tmp_path / "sweep.csv"
     sweep_csv.write_text(rows_to_csv([_sweep_row()], SWEEP_COLUMNS))
     required = {"simulate": TINY.to_dict(), "sparsity": {"n": 3, "k": 3, "d": 3},
@@ -948,7 +947,7 @@ def _command_argv(tmp_path, command):
     """A small accepted run of `command`, without --out."""
     constraints_csv = tmp_path / "constraints.csv"
     constraints_csv.write_text(constraints_to_csv(
-        mine_from_labels(soft_labels(generate_dataset(n=4, k=3, d=3, seed=2)))))
+        mine_constraints(soft_labels(generate_dataset(n=4, k=3, d=3, seed=2)), 4)))
     sweep_csv = tmp_path / "sweep.csv"
     sweep_csv.write_text(rows_to_csv([_sweep_row()], SWEEP_COLUMNS))
     configs = {"simulate": TINY.to_dict(),

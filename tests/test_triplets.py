@@ -12,7 +12,7 @@ from labelinfo.labels import (LabelKind, LabelSet, hard_labels, pca_encode,
 from labelinfo.latentgen import generate_dataset, similarity_matrix
 from labelinfo.triplets import (MAX_ITEMS, MAX_ROWS, ConstraintSet, apply_noise,
                                 constraints_from_csv, count_hard, count_queries, count_soft,
-                                information_ratio, mine_from_coordinates, mine_from_labels)
+                                information_ratio, mine_constraints)
 
 _EMPTY = np.empty((0, 3), dtype=np.int64)
 
@@ -123,53 +123,59 @@ def _reference_noise(triplets, epsilon, seed):
 
 
 def _oracle_cases():
-    """(name, labels, n_points) covering every label kind and the edge shapes."""
+    """(name, labels, n_points, reference loop) covering every label kind and the edge shapes.
+
+    The soft loop compares any class masses, and the hard loop only one-hot rows.
+    """
+    hard_ref, soft_ref, coords_ref = (_reference_mine_hard, _reference_mine_soft,
+                                      _reference_mine_coordinates)
     cases = []
     for n, k in [(1, 2), (1, 5), (2, 2), (3, 4), (9, 3), (12, 7)]:
         ds = generate_dataset(n=n, k=k, d=3, seed=10 * n + k)
         hard, soft = hard_labels(ds), soft_labels(ds)
-        cases += [(f"hard-{n}-{k}", hard, n), (f"soft-{n}-{k}", soft, n),
-                  (f"smoothed-{n}-{k}", smooth_labels(hard, 0.2), n),
+        cases += [(f"hard-{n}-{k}", hard, n, hard_ref), (f"soft-{n}-{k}", soft, n, soft_ref),
+                  (f"smoothed-{n}-{k}", smooth_labels(hard, 0.2), n, soft_ref),
                   (f"typicality-{n}-{k}",
-                   typicality_labels(hard, np.linspace(0.5, 1.0, n)), n),
-                  (f"sparse-{n}-{k}", sparsify_labels(soft, 1), n),
-                  (f"pca-{n}-{k}", pca_encode(ds, 2), n)]
+                   typicality_labels(hard, np.linspace(0.5, 1.0, n)), n, soft_ref),
+                  (f"sparse-{n}-{k}", sparsify_labels(soft, 1), n, soft_ref),
+                  (f"pca-{n}-{k}", pca_encode(ds, 2), n, coords_ref)]
         if n >= 3:
             cases.append((f"topclass-{n}-{k}",
-                          topclass_labels(soft, min(2, k - 1), similarity_matrix(ds.points)), n))
+                          topclass_labels(soft, min(2, k - 1), similarity_matrix(ds.points)), n,
+                          soft_ref))
     ones = np.ones((4, 1))
-    cases += [("hard-k1", LabelSet(LabelKind.HARD, ones), 4),
-              ("soft-k1", LabelSet(LabelKind.SOFT, ones), 4),
-              ("sparse-uniform", LabelSet(LabelKind.SPARSE_SOFT, np.full((3, 3), 1 / 3)), 3),
-              ("pca-m3", LabelSet(LabelKind.PCA_COORDS, np.array([[-1.0], [0.0], [1.0]])), 2)]
+    cases += [("hard-k1", LabelSet(LabelKind.HARD, ones), 4, hard_ref),
+              ("soft-k1", LabelSet(LabelKind.SOFT, ones), 4, soft_ref),
+              ("sparse-uniform", LabelSet(LabelKind.SPARSE_SOFT, np.full((3, 3), 1 / 3)), 3,
+               soft_ref),
+              ("pca-m3", LabelSet(LabelKind.PCA_COORDS, np.array([[-1.0], [0.0], [1.0]])), 2,
+               coords_ref)]
     grid = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
     coords = pca_encode(generate_dataset(n=6, k=3, d=4, seed=3), 3).values
     coords[4] = coords[1]
-    cases += [("pca-integer-grid", LabelSet(LabelKind.PCA_COORDS, grid), 3),
-              ("pca-duplicated", LabelSet(LabelKind.PCA_COORDS, coords), 6),
-              ("pca-all-equal", LabelSet(LabelKind.PCA_COORDS, np.zeros((4, 2))), 2)]
+    cases += [("pca-integer-grid", LabelSet(LabelKind.PCA_COORDS, grid), 3, coords_ref),
+              ("pca-duplicated", LabelSet(LabelKind.PCA_COORDS, coords), 6, coords_ref),
+              ("pca-all-equal", LabelSet(LabelKind.PCA_COORDS, np.zeros((4, 2))), 2, coords_ref)]
     return cases
 
 
 _ORACLE_CASES = _oracle_cases()
 
 
-def _mine(labels, n_points):
-    if labels.kind is LabelKind.HARD:
-        return mine_from_labels(labels), _reference_mine_hard(labels.values)
-    if labels.kind is LabelKind.PCA_COORDS:
-        return (mine_from_coordinates(labels, n_points),
-                _reference_mine_coordinates(labels.values))
-    return mine_from_labels(labels), _reference_mine_soft(labels.values)
-
-
-@pytest.mark.parametrize("labels,n_points", [c[1:] for c in _ORACLE_CASES],
-                         ids=[c[0] for c in _ORACLE_CASES])
-def test_miners_match_reference_loops_bit_for_bit(labels, n_points):
-    got, expected = _mine(labels, n_points)
+def _mined_as_reference(labels, n_points, expected):
+    """The mined set, once its bytes are shown to equal the reference rows as int32."""
+    got = mine_constraints(labels, n_points)
     t = got.triplets
     assert t.dtype == np.int32 and t.flags.c_contiguous and t.shape == expected.shape
-    assert np.array_equal(t, expected)
+    assert t.tobytes() == expected.astype(np.int32).tobytes()
+    return got
+
+
+@pytest.mark.parametrize("labels,n_points,reference", [c[1:] for c in _ORACLE_CASES],
+                         ids=[c[0] for c in _ORACLE_CASES])
+def test_miners_match_reference_loops_bit_for_bit(labels, n_points, reference):
+    expected = reference(labels.values)
+    got = _mined_as_reference(labels, n_points, expected)
     for epsilon in (0.0, 0.05, 0.5, 1.0):
         for seed in (0, 11):
             noisy = apply_noise(got, epsilon, seed).triplets
@@ -178,8 +184,8 @@ def test_miners_match_reference_loops_bit_for_bit(labels, n_points):
 
 
 def test_oracle_cases_include_empty_sets_and_skipped_ties():
-    sizes = {name: _mine(labels, n_points)[0].triplets.shape
-             for name, labels, n_points in _ORACLE_CASES}
+    sizes = {name: mine_constraints(labels, n_points).triplets.shape
+             for name, labels, n_points, _ in _ORACLE_CASES}
     for name in ("hard-k1", "soft-k1", "sparse-uniform", "pca-all-equal"):
         assert sizes[name] == (0, 3)
     assert sizes["pca-m3"] == (2, 3)  # the middle item is equidistant from the ends
@@ -190,7 +196,7 @@ def test_oracle_cases_include_empty_sets_and_skipped_ties():
 
 def test_hard_mining_two_points_two_classes():
     hard = LabelSet(kind=LabelKind.HARD, values=np.eye(2))
-    cs = mine_from_labels(hard)
+    cs = mine_constraints(hard, 2)
     assert cs.triplets.tolist() == [[0, 2, 3], [1, 3, 2], [2, 0, 1], [3, 1, 0]]
     assert len(cs) == count_hard(2, 2) == 4
     assert cs.m == 4
@@ -199,22 +205,22 @@ def test_hard_mining_two_points_two_classes():
 def test_soft_mining_hand_example():
     soft = LabelSet(kind=LabelKind.SOFT,
                     values=np.array([[0.7, 0.3], [0.4, 0.6]]))
-    cs = mine_from_labels(soft)
+    cs = mine_constraints(soft, 2)
     assert cs.triplets.tolist() == [[0, 2, 3], [1, 3, 2], [2, 0, 1], [3, 1, 0]]
     assert len(cs) == count_soft(2, 2) == 4
 
 
 def test_soft_mining_uniform_rows_emit_nothing():
     soft = LabelSet(kind=LabelKind.SOFT, values=np.full((4, 3), 1 / 3))
-    assert len(mine_from_labels(soft)) == 0
+    assert len(mine_constraints(soft, 4)) == 0
 
 
 def test_sparse_zero_ties_are_skipped():
     ds = generate_dataset(n=8, k=5, d=3, seed=2)
     soft = soft_labels(ds)
     sparse = sparsify_labels(soft, 2)
-    full = mine_from_labels(soft)
-    pruned = mine_from_labels(sparse)
+    full = mine_constraints(soft, ds.n)
+    pruned = mine_constraints(sparse, ds.n)
     assert len(pruned) < len(full)
     # top-k retention preserves within-row order, so the point-anchored
     # constraints can only shrink (centroid-anchored ones may flip: a dropped
@@ -228,7 +234,7 @@ def test_sparse_zero_ties_are_skipped():
 def test_count_hard_balanced_matches_mined():
     for n, k in [(4, 2), (6, 3), (9, 3), (8, 4), (12, 6)]:
         ds = generate_dataset(n=n, k=k, d=3, sigma=1e-9, seed=n * 31 + k)
-        mined = mine_from_labels(hard_labels(ds))
+        mined = mine_constraints(hard_labels(ds), ds.n)
         expected = count_hard(n, k)
         assert expected.denominator == 1
         assert len(mined) == expected
@@ -237,7 +243,7 @@ def test_count_hard_balanced_matches_mined():
 def test_count_soft_matches_mined_tie_free():
     for n, k in [(3, 2), (5, 4), (7, 3), (10, 10)]:
         ds = generate_dataset(n=n, k=k, d=4, seed=n * 17 + k)
-        mined = mine_from_labels(soft_labels(ds))
+        mined = mine_constraints(soft_labels(ds), ds.n)
         assert len(mined) == count_soft(n, k)
 
 
@@ -264,19 +270,40 @@ def test_information_ratio_bounds_and_errors():
         count_soft(3, 0)
 
 
-def test_mining_rejects_wrong_kinds():
-    hard = LabelSet(kind=LabelKind.HARD, values=np.eye(3))
-    coords = LabelSet(kind=LabelKind.PCA_COORDS, values=np.eye(3))
-    with pytest.raises(TypeError):
-        mine_from_labels(coords)
-    with pytest.raises(TypeError):
-        mine_from_coordinates(hard, 3)
+@pytest.mark.parametrize("kind, n_points, error", [
+    (LabelKind.HARD, 2, "class labels have 3 rows, not n_points=2"),
+    (LabelKind.SOFT, 4, "class labels have 3 rows, not n_points=4"),
+    (LabelKind.PCA_COORDS, -1, r"n_points must lie in \[0, 3\], got -1"),
+    (LabelKind.PCA_COORDS, 4, r"n_points must lie in \[0, 3\], got 4"),
+], ids=["class_rows_past_n", "class_rows_short_of_n", "coords_negative_n", "coords_n_past_m"])
+def test_mining_rejects_a_mismatched_n_points(kind, n_points, error):
+    with pytest.raises(ValueError, match=error):
+        mine_constraints(LabelSet(kind=kind, values=np.eye(3)), n_points)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_mining_tie_heavy_labels_matches_reference_loops_bit_for_bit(data):
+    """Few distinct values make ties common: in class masses and in grid distances."""
+    pool = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=3, max_size=4,
+                              unique=True))
+    n, k = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 6))
+    values = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n * k,
+                                         max_size=n * k))).reshape(n, k)
+    kind = data.draw(st.sampled_from([kind for kind in LabelKind
+                                      if kind is not LabelKind.PCA_COORDS]))
+    _mined_as_reference(LabelSet(kind, values), n, _reference_mine_soft(values))
+    m, width = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 3))
+    grid = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=m * width,
+                                       max_size=m * width)), dtype=float).reshape(m, width)
+    _mined_as_reference(LabelSet(LabelKind.PCA_COORDS, grid), data.draw(st.integers(0, m)),
+                        _reference_mine_coordinates(grid))
 
 
 def test_coordinate_mining_collinear():
     coords = LabelSet(kind=LabelKind.PCA_COORDS,
                       values=np.array([[0.0], [1.0], [3.0]]))
-    cs = mine_from_coordinates(coords, n_points=2)
+    cs = mine_constraints(coords, n_points=2)
     assert cs.triplets.tolist() == [[0, 1, 2], [1, 0, 2], [2, 1, 0]]
     assert information_ratio(len(cs), 2, 1) == 1.0
 
@@ -289,13 +316,13 @@ def test_hard_sets_are_met_by_collapsing_each_class_on_any_centroids(n, k):
         centroids = np.random.default_rng(seed).standard_normal((k, 5))
         points = centroids[np.argmax(hard.values, axis=1)]
         coords = np.vstack([points, centroids])
-        assert satisfied_share(mine_from_labels(hard).triplets, coords) == 1.0
+        assert satisfied_share(mine_constraints(hard, n).triplets, coords) == 1.0
 
 
 def test_coordinate_mining_skips_exact_ties():
     coords = LabelSet(kind=LabelKind.PCA_COORDS,
                       values=np.array([[-1.0], [0.0], [1.0]]))
-    cs = mine_from_coordinates(coords, n_points=3)
+    cs = mine_constraints(coords, n_points=3)
     # the middle point is equidistant from the ends: one unanswered query
     assert len(cs) == 2
     assert [1, 0, 2] not in cs.triplets.tolist()
@@ -305,14 +332,14 @@ def test_coordinate_mining_skips_exact_ties():
 def test_coordinate_mining_full_rank_answers_everything():
     ds = generate_dataset(n=5, k=3, d=4, seed=6)
     coords = pca_encode(ds, 4)
-    cs = mine_from_coordinates(coords, n_points=5)
+    cs = mine_constraints(coords, n_points=5)
     assert information_ratio(len(cs), 5, 3) == pytest.approx(1.0)
     assert satisfied_share(cs.triplets, coords.values) == 1.0
 
 
 def test_triplets_are_lexsorted_and_unique():
     ds = generate_dataset(n=10, k=4, d=3, seed=5)
-    for cs in (mine_from_labels(hard_labels(ds)), mine_from_labels(soft_labels(ds))):
+    for cs in (mine_constraints(hard_labels(ds), ds.n), mine_constraints(soft_labels(ds), ds.n)):
         t = cs.triplets
         assert t.shape[0] == len(np.unique(t, axis=0))
         order = np.lexsort((t[:, 2], t[:, 1], t[:, 0]))
@@ -321,7 +348,7 @@ def test_triplets_are_lexsorted_and_unique():
 
 def test_apply_noise_zero_and_one():
     ds = generate_dataset(n=6, k=3, d=3, seed=7)
-    cs = mine_from_labels(soft_labels(ds))
+    cs = mine_constraints(soft_labels(ds), ds.n)
     original = cs.triplets.copy()
     same = apply_noise(cs, 0.0, seed=1)
     assert np.array_equal(same.triplets, cs.triplets)
@@ -333,7 +360,7 @@ def test_apply_noise_zero_and_one():
 
 def test_apply_noise_deterministic_and_partial():
     ds = generate_dataset(n=12, k=4, d=3, seed=8)
-    cs = mine_from_labels(soft_labels(ds))
+    cs = mine_constraints(soft_labels(ds), ds.n)
     a = apply_noise(cs, 0.3, seed=42)
     b = apply_noise(cs, 0.3, seed=42)
     assert np.array_equal(a.triplets, b.triplets)
@@ -353,7 +380,7 @@ def test_apply_noise_rejects_bad_rate():
 
 def test_constraint_csv_round_trip():
     ds = generate_dataset(n=7, k=3, d=3, seed=9)
-    cs = apply_noise(mine_from_labels(soft_labels(ds)), 0.2, seed=3)
+    cs = apply_noise(mine_constraints(soft_labels(ds), ds.n), 0.2, seed=3)
     back = constraints_from_csv(constraints_to_csv(cs, "soft", 0.2))
     assert back.n_points == 7 and back.n_centroids == 3
     assert np.array_equal(back.triplets, cs.triplets)
@@ -383,21 +410,21 @@ def test_constraint_csv_rejects_garbage():
 def test_hard_count_formula_balanced_property(per_class, k, seed):
     n = per_class * k
     ds = generate_dataset(n=n, k=k, d=3, sigma=1e-9, seed=seed)
-    assert len(mine_from_labels(hard_labels(ds))) == count_hard(n, k)
+    assert len(mine_constraints(hard_labels(ds), ds.n)) == count_hard(n, k)
 
 
 @settings(deadline=None, max_examples=80)
 @given(st.integers(1, 20), st.integers(2, 8), st.integers(0, 2**32 - 1))
 def test_soft_count_formula_property(n, k, seed):
     ds = generate_dataset(n=n, k=k, d=4, seed=seed)
-    assert len(mine_from_labels(soft_labels(ds))) == count_soft(n, k)
+    assert len(mine_constraints(soft_labels(ds), ds.n)) == count_soft(n, k)
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 12), st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_mined_indices_in_range(n, k, seed):
     ds = generate_dataset(n=n, k=k, d=3, seed=seed)
-    for cs in (mine_from_labels(hard_labels(ds)), mine_from_labels(soft_labels(ds))):
+    for cs in (mine_constraints(hard_labels(ds), ds.n), mine_constraints(soft_labels(ds), ds.n)):
         t = cs.triplets
         if t.size:
             assert t.min() >= 0 and t.max() < cs.m
