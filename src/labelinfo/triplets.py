@@ -16,6 +16,8 @@ because numpy's `take` is several times slower with int32 indices.
 """
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
@@ -27,8 +29,12 @@ from .labels import LabelKind, LabelSet
 # The largest set a sweep config or a constraint CSV may ask to mine and solve: over 10x
 # the largest any workload, driver or battery check uses (the mining workload's PCA set at
 # n = k = 40: 246,480 rows over 80 items). At MAX_ITEMS, an m x m float64 matrix is 32 MB.
+# These bound memory, not time: one gnmds.project_psd at m = 2,000 took about 1.5 s on 2
+# cores, so a cell at n = 1, k = 1,999 could run for about 50 minutes of 2,000 iterations.
 MAX_ROWS = 2_500_000
 MAX_ITEMS = 2_000
+# A triplet field as numpy's loadtxt reads an int64: optional sign, ASCII digits.
+_INDEX = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
 
 
 @dataclass(frozen=True)
@@ -161,9 +167,9 @@ def constraints_from_csv(text: str) -> ConstraintSet:
     row of values, the header `anchor,near,far`, then one row per triplet.
 
     A malformed header, a negative n or k, a set that `check_size` rejects
-    (checked before any row is parsed), or a row that is not three integer
-    indices in [0, n + k) is a ValueError. The header's source kind and flip
-    rate are read, and the rate must be a number, but neither is kept.
+    (checked before any row is parsed), or a row that is not three distinct
+    integer indices in [0, n + k) is a ValueError. The header's source kind
+    and flip rate are read, and the rate must be a number, but neither is kept.
     """
     lines = [ln for ln in text.splitlines() if ln]
     if len(lines) < 3 or lines[0] != "n,k,source_kind,flip_rate" or lines[2] != "anchor,near,far":
@@ -173,17 +179,32 @@ def constraints_from_csv(text: str) -> ConstraintSet:
     float(flip)  # a rate that is not a number is malformed
     if n < 0 or k < 0:
         raise ValueError(f"n and k must be >= 0, got n={n}, k={k}")
-    m = n + k
-    check_size(f"n={n} k={k}", m, len(lines) - 3)
-    rows = []
-    for number, line in enumerate(lines[3:], start=1):
+    check_size(f"n={n} k={k}", n + k, len(lines) - 3)
+    return ConstraintSet(n_points=n, n_centroids=k, triplets=_triplet_rows(lines[3:], n + k))
+
+
+def _triplet_rows(lines: list[str], m: int) -> np.ndarray:
+    """The rows as one (T, 3) int32 array, parsed and checked whole; the first
+    bad row is looked for only when a check fails, to name it in the error."""
+    rows = np.empty((0, 3), dtype=np.int64)  # loadtxt warns when it reads no rows
+    if lines:
         try:
-            row = [int(v) for v in line.split(",")]
-        except ValueError:
-            row = []
-        if len(row) != 3 or not all(0 <= v < m for v in row):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy 1.x reads "1.0" as 1 with a warning
+                rows = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+        except (ValueError, Warning):
+            rows = None
+    if rows is not None and rows.shape[1] == 3:
+        anchor, near, far = rows.T
+        if (np.all((rows >= 0) & (rows < m))
+                and np.all((anchor != near) & (anchor != far) & (near != far))):
+            return rows.astype(np.int32)
+    for number, line in enumerate(lines, start=1):
+        fields = line.split(",")
+        if len(fields) != 3 or not all(_INDEX.fullmatch(v) and 0 <= int(v) < m for v in fields):
             raise ValueError(f"constraint row {number} is not three integer indices "
                              f"in [0, {m}): {line!r}")
-        rows.append(row)
-    return ConstraintSet(n_points=n, n_centroids=k,
-                         triplets=np.array(rows, dtype=np.int32).reshape(-1, 3))
+        if len({int(v) for v in fields}) < 3:
+            raise ValueError(f"constraint row {number} names an item twice; anchor, near "
+                             f"and far must differ: {line!r}")
+    raise ValueError(f"constraint rows are not three integer indices in [0, {m})")

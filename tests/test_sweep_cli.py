@@ -874,9 +874,11 @@ def test_cli_embed_constraints_path_that_is_not_a_string_is_usage_error(tmp_path
     ("2147483647,1", "0,1,2", "n=2147483647 k=1: 2147483648 items exceed the item limit of 2000"),
     ("1000000,0", "0,1,2", "n=1000000 k=0: 1000000 items exceed the item limit of 2000"),
     ("2,1", "0,1,2\n0,2,1", "n=2 k=1: 3 triplets exceed the row limit of 2"),
+    ("2,1", "0,1,0", "constraint row 2 names an item twice; anchor, near and far must differ"),
+    ("2,1", "1,2,2", "constraint row 2 names an item twice"),
 ], ids=["huge_index", "index_past_m", "negative_index", "two_fields", "four_fields",
         "not_a_number", "float_index", "negative_n", "negative_k", "m_past_int32",
-        "m_past_item_limit", "rows_past_row_limit"])
+        "m_past_item_limit", "rows_past_row_limit", "anchor_is_far", "near_is_far"])
 def test_cli_embed_malformed_constraints_csv_is_usage_error(tmp_path, monkeypatch, capsys,
                                                            header, row, error):
     # every other case has two rows, so only the three-row set crosses this row limit

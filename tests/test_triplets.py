@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -388,7 +389,10 @@ def test_constraint_csv_round_trip():
 
 def test_constraint_csv_empty_set():
     empty = ConstraintSet(2, 1, np.empty((0, 3), dtype=np.int64))
-    back = constraints_from_csv(constraints_to_csv(empty))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's loadtxt warns when it reads no rows
+        back = constraints_from_csv(constraints_to_csv(empty))
+    assert back.triplets.dtype == np.int32 and back.triplets.shape == (0, 3)
     assert len(back) == 0 and back.m == 3
 
 
