@@ -117,8 +117,10 @@ def _columns_mutual_information(values: np.ndarray, reference: np.ndarray) -> np
 
     For each column, forms the paired sample (|col_a - col_b|, sim_ab) over
     all point pairs a < b of the n x n `reference`, discretizes each
-    marginal into `_MI_BINS` equal-frequency bins (the reference is binned
-    once) and returns the mutual information of the joint histogram.
+    marginal into `_MI_BINS` equal-frequency bins and returns the mutual
+    information of the joint histogram. Every column is binned and counted at
+    once, so the extra memory is O(pairs * k); a sweep's size check bounds
+    pairs * k, which is below the tie-free soft count kn(n + k - 2)/2.
     Non-negative by construction; exactly 0 for a constant column.
     """
     n, k = values.shape
@@ -127,12 +129,12 @@ def _columns_mutual_information(values: np.ndarray, reference: np.ndarray) -> np
     bins = _MI_BINS
     iu = np.triu_indices(n, 1)
     y = _equal_frequency_codes(reference[iu])
+    x = _equal_frequency_codes(np.abs(values[iu[0]] - values[iu[1]]))  # (pairs, k)
+    cells = (np.arange(k) * bins + x) * bins + y[:, None]  # (column, x, y) in C order
+    histograms = np.bincount(cells.ravel(), minlength=k * bins * bins).reshape(k, bins, bins)
     mi = np.empty(k)
-    for j in range(k):
-        col = values[:, j]
-        x = _equal_frequency_codes(np.abs(col[iu[0]] - col[iu[1]]))
-        counts = np.bincount(x * bins + y, minlength=bins * bins)
-        joint = counts.reshape(bins, bins) / counts.sum()
+    for j, counts in enumerate(histograms):  # one column's sum at a time keeps its bits
+        joint = counts / counts.sum()
         px = joint.sum(axis=1)
         py = joint.sum(axis=0)
         nz = joint > 0
@@ -141,9 +143,11 @@ def _columns_mutual_information(values: np.ndarray, reference: np.ndarray) -> np
 
 
 def _equal_frequency_codes(x: np.ndarray) -> np.ndarray:
-    """Quantile-based bin codes in [0, _MI_BINS); ties collapse into shared bins."""
-    edges = np.quantile(x, np.linspace(0.0, 1.0, _MI_BINS + 1)[1:-1])
-    return np.searchsorted(edges, x, side="right")
+    """Quantile-based bin codes in [0, _MI_BINS) for x, or for each column of a 2-D x;
+    ties collapse into shared bins. A code counts the bin edges at or below its value,
+    as `np.searchsorted(edges, x, side="right")` would."""
+    edges = np.quantile(x, np.linspace(0.0, 1.0, _MI_BINS + 1)[1:-1], axis=0)
+    return np.count_nonzero(x[:, None] >= edges, axis=1)
 
 
 def topclass_labels(soft: LabelSet, k_hat: int, reference: np.ndarray) -> LabelSet:

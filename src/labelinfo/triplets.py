@@ -9,17 +9,20 @@ One miner serves every label kind. It reads a label set as blocks of
 nearness scores and emits (anchor, near, far) exactly when the anchor's
 score for `near` is strictly larger than for `far`, so ties emit nothing.
 Mined rows come out in lexicographic (anchor, near, far) order by
-construction, as one C-contiguous int32 (T, 3) array. A PCA set has
-3 * C(m, 3) rows, so int32 halves the memory of the program's largest
-arrays. The solver widens the indices to intp before it gathers with them,
-because numpy's `take` is several times slower with int32 indices.
+construction, as one C-contiguous int16 (T, 3) array: MAX_ITEMS bounds every
+index a run may use, so int16 holds them all. A PCA set has 3 * C(m, 3) rows,
+so int16 quarters the memory of the program's largest arrays against numpy's
+default int64. The solver widens the indices to intp before it gathers with
+them, because numpy's `take` is several times slower with narrow indices.
 """
 from __future__ import annotations
 
+import io
 import re
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import numpy as np
@@ -41,7 +44,7 @@ _INDEX = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
 class ConstraintSet:
     n_points: int
     n_centroids: int
-    triplets: np.ndarray  # (T, 3) int32 rows of (anchor, near, far); see the module docstring
+    triplets: np.ndarray  # (T, 3) int16 rows of (anchor, near, far); see the module docstring
 
     @property
     def m(self) -> int:
@@ -55,9 +58,8 @@ class ConstraintSet:
 def _nearer(scores: np.ndarray) -> np.ndarray:
     """Mask whose [anchor, near, far] entry says scores[anchor, near] > scores[anchor, far].
 
-    Ties and NaN comparisons are False, so they emit nothing. `np.nonzero`
-    walks the mask in C order, so the triples it gives are in lexicographic
-    order.
+    Ties and NaN comparisons are False, so they emit nothing. Its hits, read
+    in C order, are the triples in lexicographic order.
     """
     return scores[:, :, None] > scores[:, None, :]
 
@@ -71,33 +73,38 @@ def mine_constraints(labels: LabelSet, n_points: int) -> ConstraintSet:
     (m rows, points first) are one block, the negative squared distances between items.
     """
     values = labels.values
-    if labels.kind is LabelKind.PCA_COORDS:
-        m = values.shape[0]
-        if not 0 <= n_points <= m:
-            raise ValueError(f"n_points must lie in [0, {m}], got {n_points}")
+    coordinates = labels.kind is LabelKind.PCA_COORDS
+    m = values.shape[0] if coordinates else n_points + values.shape[1]
+    if coordinates and not 0 <= n_points <= m:
+        raise ValueError(f"n_points must lie in [0, {m}], got {n_points}")
+    if not coordinates and values.shape[0] != n_points:
+        raise ValueError(f"class labels have {values.shape[0]} rows, not n_points={n_points}")
+    if m > MAX_ITEMS:  # int16 rows hold every index below MAX_ITEMS, and no more
+        raise ValueError(f"{m} items exceed the item limit of {MAX_ITEMS}")
+    if coordinates:
         nearness = -_squared_distances(values)
         np.fill_diagonal(nearness, np.nan)  # an anchor is never its own near or far item
         masks = [(_nearer(nearness), 0, 0)]
     else:
-        if values.shape[0] != n_points:
-            raise ValueError(f"class labels have {values.shape[0]} rows, not n_points={n_points}")
-        m = n_points + values.shape[1]
         masks = [(_nearer(values), 0, n_points), (_nearer(values.T), n_points, 0)]
-    # (mask, anchor offset, item offset): a mask's indices count from 0
-    counts = [np.count_nonzero(mask) for mask, _, _ in masks]
-    # Allocating the kept array before np.nonzero's index arrays lowers peak RSS when many
-    # sets are held at once (155.0 against 156.6 MB on `mining`, with int64 rows).
-    triplets = np.empty((sum(counts), 3), dtype=np.int32)
+    # (mask, anchor offset, item offset): a mask's indices count from 0. A mask's hits per
+    # (anchor, near) pair size its block and decode the anchor and near of each hit.
+    hits = [np.count_nonzero(mask, axis=2).ravel() for mask, _, _ in masks]
+    counts = [int(pair_hits.sum()) for pair_hits in hits]
+    triplets = np.empty((sum(counts), 3), dtype=np.int16)
     start = 0
-    for (mask, anchor, item), count in zip(masks, counts):
+    for (mask, anchor, item), pair_hits, count in zip(masks, hits, counts):
         block = triplets[start:start + count]
         start += count
-        np.stack(np.nonzero(mask), axis=1, out=block)
-        if anchor:
-            block[:, 0] += anchor
-        if item:  # one column at a time: a (T, 2) view would add in runs of two
-            block[:, 1] += item
-            block[:, 2] += item
+        anchors, nears, fars = mask.shape
+        block[:, 0] = np.repeat(np.arange(anchor, anchor + anchors, dtype=np.int16),
+                                pair_hits.reshape(anchors, nears).sum(axis=1))
+        block[:, 1] = np.repeat(np.tile(np.arange(item, item + nears, dtype=np.int16), anchors),
+                                pair_hits)
+        # far is a hit's C-order flat index less its (anchor, near) row's start, plus `item`
+        row_starts = np.arange(anchors * nears) * fars - item
+        np.subtract(np.flatnonzero(mask), np.repeat(row_starts, pair_hits),
+                    out=block[:, 2], casting="unsafe")
     return ConstraintSet(n_points=n_points, n_centroids=m - n_points, triplets=triplets)
 
 
@@ -166,40 +173,55 @@ def constraints_from_csv(text: str) -> ConstraintSet:
     """Read a constraint set: the header `n,k,source_kind,flip_rate`, its one
     row of values, the header `anchor,near,far`, then one row per triplet.
 
-    A malformed header, a negative n or k, a set that `check_size` rejects
-    (checked before any row is parsed), or a row that is not three distinct
-    integer indices in [0, n + k) is a ValueError. The header's source kind
-    and flip rate are read, and the rate must be a number, but neither is kept.
+    Lines end at "\n", "\r\n" or "\r", as a text-mode file reads them, and blank
+    lines are skipped. A malformed header, a negative n or k, a set that
+    `check_size` rejects (checked before any row is parsed), or a row that is not
+    three distinct integer indices in [0, n + k) is a ValueError. The header's
+    source kind and flip rate are read, and the rate must be a number, but
+    neither is kept.
     """
-    lines = [ln for ln in text.splitlines() if ln]
-    if len(lines) < 3 or lines[0] != "n,k,source_kind,flip_rate" or lines[2] != "anchor,near,far":
+    # one byte stream for the whole text: its rows are parsed with no list of lines
+    stream = io.BytesIO(text.replace("\r\n", "\n").replace("\r", "\n").encode())
+    header = list(islice(_lines(stream), 3))
+    if len(header) < 3 or header[0] != "n,k,source_kind,flip_rate" or header[2] != "anchor,near,far":
         raise ValueError("malformed constraint CSV")
-    n_str, k_str, _, flip = lines[1].split(",")
+    n_str, k_str, _, flip = header[1].split(",")
     n, k = int(n_str), int(k_str)
     float(flip)  # a rate that is not a number is malformed
     if n < 0 or k < 0:
         raise ValueError(f"n and k must be >= 0, got n={n}, k={k}")
-    check_size(f"n={n} k={k}", n + k, len(lines) - 3)
-    return ConstraintSet(n_points=n, n_centroids=k, triplets=_triplet_rows(lines[3:], n + k))
+    start = stream.tell()
+    rows = sum(line != b"\n" for line in stream)  # the lines `_lines` would give
+    check_size(f"n={n} k={k}", n + k, rows)
+    stream.seek(start)
+    return ConstraintSet(n_points=n, n_centroids=k, triplets=_triplet_rows(stream, rows, n + k))
 
 
-def _triplet_rows(lines: list[str], m: int) -> np.ndarray:
-    """The rows as one (T, 3) int32 array, parsed and checked whole; the first
-    bad row is looked for only when a check fails, to name it in the error."""
-    rows = np.empty((0, 3), dtype=np.int64)  # loadtxt warns when it reads no rows
-    if lines:
-        try:
+def _lines(stream: io.BytesIO):
+    """The stream's non-empty lines from where it stands, decoded, without their ends."""
+    return (line.rstrip(b"\n").decode() for line in stream if line != b"\n")
+
+
+def _triplet_rows(stream: io.BytesIO, rows: int, m: int) -> np.ndarray:
+    """The stream's `rows` rows as one (T, 3) int16 array, parsed and checked whole; the
+    first bad row is looked for only when a check fails, to name it in the error."""
+    start = stream.tell()
+    triplets = np.empty((0, 3), dtype=np.int16)  # loadtxt warns when it reads no rows
+    if rows:
+        try:  # a field past int16 fails here, and the bound check below names its row
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # numpy 1.x reads "1.0" as 1 with a warning
-                rows = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+                triplets = np.loadtxt(stream, delimiter=",", dtype=np.int16, ndmin=2,
+                                      comments=None, encoding="utf-8")
         except (ValueError, Warning):
-            rows = None
-    if rows is not None and rows.shape[1] == 3:
-        anchor, near, far = rows.T
-        if (np.all((rows >= 0) & (rows < m))
+            triplets = None
+    if triplets is not None and triplets.shape[1] == 3:
+        anchor, near, far = triplets.T
+        if (np.all((triplets >= 0) & (triplets < m))
                 and np.all((anchor != near) & (anchor != far) & (near != far))):
-            return rows.astype(np.int32)
-    for number, line in enumerate(lines, start=1):
+            return triplets
+    stream.seek(start)
+    for number, line in enumerate(_lines(stream), start=1):
         fields = line.split(",")
         if len(fields) != 3 or not all(_INDEX.fullmatch(v) and 0 <= int(v) < m for v in fields):
             raise ValueError(f"constraint row {number} is not three integer indices "

@@ -110,11 +110,11 @@ def test_solve_matches_reference_loop_bit_for_bit(kind, config):
 
 
 
-def test_solve_gives_the_same_bytes_for_int32_and_int64_indices():
-    """Mined sets are int32; a set built as int64 must solve to the same bytes."""
+def test_solve_gives_the_same_bytes_for_int16_and_int64_indices():
+    """Mined sets are int16; a set built as int64 must solve to the same bytes."""
     ds = generate_dataset(n=8, k=6, d=4, seed=3)
     narrow = apply_noise(mine_constraints(soft_labels(ds), ds.n), 0.1, seed=2)
-    assert narrow.triplets.dtype == np.int32
+    assert narrow.triplets.dtype == np.int16
     wide = ConstraintSet(narrow.n_points, narrow.n_centroids,
                          narrow.triplets.astype(np.int64))
     got, expected = solve(narrow), solve(wide)

@@ -272,6 +272,25 @@ def test_mutual_information_matches_reference_bit_for_bit():
         assert _kept_columns(top) == sorted(int(j) for j in order[:min(2, k)])
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_mutual_information_matches_reference_per_column_property(data):
+    """All columns at once give each column's reference bytes, with ties and constant columns."""
+    n, k = data.draw(st.integers(3, 12)), data.draw(st.integers(1, 6))
+    anything = st.floats(-1e3, 1e3, allow_nan=False)
+    pool = data.draw(st.lists(st.sampled_from([-3.0, 0.0, 0.1, 0.5, 7.5]), min_size=1,
+                              max_size=3, unique=True))
+    cell = st.sampled_from(pool) if data.draw(st.booleans()) else anything  # few values tie
+    values = np.array(data.draw(st.lists(cell, min_size=n * k, max_size=n * k))).reshape(n, k)
+    if data.draw(st.booleans()):
+        values[:, data.draw(st.integers(0, k - 1))] = data.draw(anything)  # a constant column
+    reference = np.array(data.draw(st.lists(cell, min_size=n * n, max_size=n * n)))
+    reference = reference.reshape(n, n)
+    expected = np.array([_reference_column_mutual_information(values[:, j], reference)
+                         for j in range(k)])
+    assert _columns_mutual_information(values, reference).tobytes() == expected.tobytes()
+
+
 def _kept_columns(top):
     """Columns a top-class label set keeps: the ones not zeroed out."""
     return np.flatnonzero(np.any(top.values != 0.0, axis=0)).tolist()

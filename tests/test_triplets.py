@@ -164,11 +164,11 @@ _ORACLE_CASES = _oracle_cases()
 
 
 def _mined_as_reference(labels, n_points, expected):
-    """The mined set, once its bytes are shown to equal the reference rows as int32."""
+    """The mined set, once its bytes are shown to equal the reference rows as int16."""
     got = mine_constraints(labels, n_points)
     t = got.triplets
-    assert t.dtype == np.int32 and t.flags.c_contiguous and t.shape == expected.shape
-    assert t.tobytes() == expected.astype(np.int32).tobytes()
+    assert t.dtype == np.int16 and t.flags.c_contiguous and t.shape == expected.shape
+    assert t.tobytes() == expected.astype(np.int16).tobytes()
     return got
 
 
@@ -180,7 +180,7 @@ def test_miners_match_reference_loops_bit_for_bit(labels, n_points, reference):
     for epsilon in (0.0, 0.05, 0.5, 1.0):
         for seed in (0, 11):
             noisy = apply_noise(got, epsilon, seed).triplets
-            assert noisy.dtype == np.int32 and noisy.flags.c_contiguous
+            assert noisy.dtype == np.int16 and noisy.flags.c_contiguous
             assert np.array_equal(noisy, _reference_noise(expected, epsilon, seed))
 
 
@@ -392,14 +392,43 @@ def test_constraint_csv_empty_set():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's loadtxt warns when it reads no rows
         back = constraints_from_csv(constraints_to_csv(empty))
-    assert back.triplets.dtype == np.int32 and back.triplets.shape == (0, 3)
+    assert back.triplets.dtype == np.int16 and back.triplets.shape == (0, 3)
     assert len(back) == 0 and back.m == 3
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_constraint_csv_reads_every_line_end_and_skips_blank_lines(monkeypatch, newline):
+    lines = ["", "n,k,source_kind,flip_rate", "2,1,soft,0.0", "", "anchor,near,far",
+             "0,1,2", "", "", "1,0,2"]
+    monkeypatch.setattr("labelinfo.triplets.MAX_ROWS", 2)  # a blank line is not a row
+    cs = constraints_from_csv(newline.join(lines + [""]))
+    assert cs.triplets.dtype == np.int16 and cs.triplets.tolist() == [[0, 1, 2], [1, 0, 2]]
+    with pytest.raises(ValueError, match="constraint row 2 names an item twice"):
+        constraints_from_csv(newline.join(lines[:-1] + ["2,0,0"]))
+    with pytest.raises(ValueError, match="3 triplets exceed the row limit of 2"):
+        constraints_from_csv(newline.join(lines + ["2,0,1"]))
 
 
 def test_size_limits_leave_headroom_over_the_largest_set_in_use():
     # PCA at n = k = 40, in the mining benchmark workload, is the largest set any run mines
     assert count_queries(80) == 246_480
     assert MAX_ROWS >= 10 * count_queries(80) and MAX_ITEMS >= 10 * 80
+
+
+def test_every_index_below_the_item_limit_fits_int16():
+    """Constraint rows are int16, so a larger MAX_ITEMS must fail here, not wrap indices."""
+    assert MAX_ITEMS - 1 <= np.iinfo(np.int16).max
+
+
+def test_mining_at_the_item_limit_keeps_the_largest_index():
+    # one class whose only non-zero mass is point 5's: its centroid, item MAX_ITEMS - 1,
+    # answers that point 5 is nearer than each other point
+    values = np.zeros((MAX_ITEMS - 1, 1))
+    values[5] = 1.0
+    got = mine_constraints(LabelSet(LabelKind.SOFT, values), MAX_ITEMS - 1).triplets
+    assert got.tolist() == [[MAX_ITEMS - 1, 5, far] for far in range(MAX_ITEMS - 1) if far != 5]
+    with pytest.raises(ValueError, match=f"{MAX_ITEMS + 1} items exceed the item limit"):
+        mine_constraints(LabelSet(LabelKind.SOFT, np.zeros((1, MAX_ITEMS))), 1)
 
 
 def test_constraint_csv_rejects_garbage():
