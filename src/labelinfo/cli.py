@@ -55,19 +55,25 @@ def _load_config(path: str | None, what: str, known, required=()) -> dict:
     return data
 
 
-def _sweep_spec(args, what: str, known, to_sweep_config=dict) -> sweep.SweepSpec:
-    """The command's config, turned into a sweep config."""
-    config = _load_config(args.config, what, known)
+def _sweep_spec(path: str | None, what: str, known, to_sweep_config=dict) -> sweep.SweepSpec:
+    """The config at `path`, turned into a sweep config."""
+    config = _load_config(path, what, known)
     try:
         return sweep.SweepSpec.from_dict(to_sweep_config(config))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad {what}: {exc}") from exc
 
 
+# each worker is a spawned interpreter that imports numpy, about 40 MB, so 32 is about 1.3 GB;
+# the cap is fixed, not the CPU count, so one config is valid on every machine
+MAX_WORKERS = 32
+
+
 def _run_sweep_command(args, command: str, spec: sweep.SweepSpec, rows_csv: str, plots):
     """Run the sweep; its files are the rows, timings.csv and `plots(rows)`."""
-    if args.workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    if not 1 <= args.workers <= MAX_WORKERS:
+        bound = ">= 1" if args.workers < 1 else f"<= {MAX_WORKERS}"
+        raise UsageError(f"--workers must be {bound}, got {args.workers}")
     rows, times = sweep.run_sweep(spec, workers=args.workers)
     failed = [row for row in rows if row["status"] != "ok"]
     if failed:
@@ -87,10 +93,15 @@ def _rho_heatmap(rows) -> dict:
     return {"heatmap_rho_kind.svg": svg, "heatmap_rho_kind.csv": pivot_csv}
 
 
-def cmd_simulate(args):
+def simulate_spec(path: str | None) -> sweep.SweepSpec:
+    """The sweep `labelinfo simulate --config path` runs."""
     known = [f.name for f in dataclasses.fields(sweep.SweepSpec)]
-    return _run_sweep_command(args, "simulate", _sweep_spec(args, "sweep config", known),
-                              "sweep.csv", _rho_heatmap)
+    return _sweep_spec(path, "sweep config", known)
+
+
+def cmd_simulate(args):
+    return _run_sweep_command(args, "simulate", simulate_spec(args.config), "sweep.csv",
+                              _rho_heatmap)
 
 
 def cmd_analyze(args):
@@ -238,9 +249,14 @@ def _rho_curves(rows) -> dict:
     return {"sparsity.svg": render.render_curve_panels([panel], ylabel="rho")}
 
 
+def sparsity_spec(path: str | None) -> sweep.SweepSpec:
+    """The sweep `labelinfo sparsity --config path` runs."""
+    return _sweep_spec(path, "sparsity config", _SPARSITY_KEYS, _sparsity_sweep_config)
+
+
 def cmd_sparsity(args):
-    spec = _sweep_spec(args, "sparsity config", _SPARSITY_KEYS, _sparsity_sweep_config)
-    return _run_sweep_command(args, "sparsity", spec, "sparsity.csv", _rho_curves)
+    return _run_sweep_command(args, "sparsity", sparsity_spec(args.config), "sparsity.csv",
+                              _rho_curves)
 
 
 def cmd_defaults(args):

@@ -30,7 +30,7 @@ import numpy as np
 from .labels import LabelKind, LabelSet
 
 # The largest set a sweep config or a constraint CSV may ask to mine and solve: over 10x
-# the largest any workload, driver or battery check uses (the mining workload's PCA set at
+# the largest any workload, experiment or battery check uses (the mining workload's PCA set at
 # n = k = 40: 246,480 rows over 80 items). At MAX_ITEMS, an m x m float64 matrix is 32 MB.
 # These bound memory, not time: one gnmds.project_psd at m = 2,000 took about 1.5 s on 2
 # cores, so a cell at n = 1, k = 1,999 could run for about 50 minutes of 2,000 iterations.

@@ -25,6 +25,7 @@ import pytest
 
 import conftest
 from conftest import PcaCurve, effective_dimensionality, indifference_beta
+from labelinfo.cli import simulate_spec, sparsity_spec
 from labelinfo.costbenefit import SignalOption, TradeoffConfig, optimize_sparsity
 from labelinfo.gnmds import solve
 from labelinfo.labels import LabelKind, hard_labels, soft_labels
@@ -36,6 +37,8 @@ from labelinfo.triplets import (ConstraintSet, count_hard, count_soft,
                                 information_ratio, mine_constraints)
 
 _ELAPSED: dict[str, float] = {}
+# checks 4 and 6 run the experiments as committed, through the CLI's own spec builders
+_EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> str:
@@ -185,9 +188,7 @@ def test_criterion_03_solver_oracle_recovery():
 
 @pytest.fixture(scope="session")
 def fewshot_rows():
-    spec = SweepSpec(n_grid=(3, 5, 10), k_grid=(10, 20, 40), d_grid=(5,),
-                     signals=(SignalSpec(LabelKind.HARD), SignalSpec(LabelKind.SOFT)),
-                     reps=20, base_seed=7)
+    spec = simulate_spec(str(_EXPERIMENTS / "fewshot.json"))
     t0 = time.perf_counter()
     rows, _ = run_sweep(spec, workers=1)
     _ELAPSED["fewshot"] = time.perf_counter() - t0
@@ -262,13 +263,7 @@ def test_criterion_05_noise_monotonicity():
 
 @pytest.fixture(scope="session")
 def sparsity_rows():
-    signals = [SignalSpec(LabelKind.HARD), SignalSpec(LabelKind.SOFT)]
-    for k_hat in (2, 5, 10):
-        signals.append(SignalSpec(LabelKind.SPARSE_SOFT, k_hat=k_hat))
-        signals.append(SignalSpec(LabelKind.TOP_CLASS, k_hat=k_hat))
-        signals.append(SignalSpec(LabelKind.PCA_COORDS, k_hat=k_hat))
-    spec = SweepSpec(n_grid=(20,), k_grid=(20,), d_grid=(5,),
-                     signals=tuple(signals), reps=10, base_seed=23)
+    spec = sparsity_spec(str(_EXPERIMENTS / "sparsity.json"))
     t0 = time.perf_counter()
     rows, _ = run_sweep(spec, workers=1)
     _ELAPSED["sparsity"] = time.perf_counter() - t0

@@ -496,17 +496,6 @@ def test_cli_sparsity_then_tradeoff(tmp_path):
     assert (tr_out / "tradeoff.svg").exists()
 
 
-def test_sparsity_script_keeps_the_manifest_of_each_run(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_sparsity_curves.py"
-    out = tmp_path / "study"
-    subprocess.run([sys.executable, str(script), "--out", str(out), "--n", "4", "--k", "4",
-                    "--reps", "1", "--k-hats", "1", "2"],
-                   env=_program_env(), capture_output=True, check=True, timeout=300)
-    for run_dir, command in ((out, "sparsity"), (out / "tradeoff", "tradeoff")):
-        assert json.loads((run_dir / "run_manifest.json").read_text())["command"] == command
-    assert (out / "sparsity.csv").exists() and (out / "tradeoff" / "tradeoff.csv").exists()
-
-
 def test_cli_tradeoff_prices_each_option_as_its_sweep_rows(tmp_path):
     # d = 3 caps PCA k_hat = 4 at 3 components, priced at 3 units
     cfg = _write_config(tmp_path, "sp.json", {
@@ -782,6 +771,18 @@ def test_cli_workers_below_one_is_usage_error(tmp_path, capsys, command, config,
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out), "--workers", workers]) == 2
     assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("simulate", TINY.to_dict()), ("sparsity", {"n": 3, "k": 3, "d": 3, "k_hat_grid": [1]})])
+def test_cli_workers_above_the_cap_is_usage_error(tmp_path, monkeypatch, capsys, command,
+                                                  config):
+    cfg = _write_config(tmp_path, "spec.json", config)
+    out = tmp_path / "out"
+    monkeypatch.setattr(sweep, "run_sweep", lambda *_, **__: pytest.fail("ran a cell"))
+    assert main([command, "--config", cfg, "--out", str(out), "--workers", "33"]) == 2
+    assert "--workers must be <= 32, got 33" in capsys.readouterr().err
     assert not out.exists()
 
 
