@@ -136,7 +136,7 @@ def cmd_embed(args):
                           ("constraints_csv", "solver", "embedding_rank"), ("constraints_csv",))
     try:
         constraints = triplets.constraints_from_csv(
-            Path(config["constraints_csv"]).read_text())
+            Path(args.config).parent.joinpath(config["constraints_csv"]).read_text())
     except (OSError, TypeError) as exc:
         raise UsageError(f"cannot read constraints: {exc}") from exc
     except ValueError as exc:
@@ -175,7 +175,7 @@ def cmd_tradeoff(args):
     config = _load_config(args.config, "tradeoff config",
                           required + ("beta_grid", "utility_kind"), required)
     try:
-        with Path(config["sweep_csv"]).open(newline="") as fh:
+        with Path(args.config).parent.joinpath(config["sweep_csv"]).open(newline="") as fh:
             rows = list(csv.DictReader(fh))
     except (OSError, TypeError) as exc:
         raise UsageError(f"cannot read sweep CSV: {exc}") from exc
@@ -186,8 +186,6 @@ def cmd_tradeoff(args):
         utility_kind = UtilityKind(config.get("utility_kind", "linear"))
         configs = [TradeoffConfig(beta=b, utility_kind=utility_kind)
                    for b in config.get("beta_grid", np.linspace(0.0, 0.5, 50))]
-        # an integer beta is written as a float
-        configs = [dataclasses.replace(c, beta=float(c.beta)) for c in configs]
         beta_grid = [c.beta for c in configs]
         if not beta_grid:
             raise ValueError("beta_grid must be non-empty")
@@ -205,13 +203,14 @@ def cmd_tradeoff(args):
     panel_betas = {beta_grid[round(i * (len(beta_grid) - 1) / 3)]
                    for i in range(4)} if len(beta_grid) > 4 else set(beta_grid)
     for cfg in configs:
-        table_rows.extend(costbenefit.tradeoff_table(options, cfg))
+        table = costbenefit.tradeoff_table(options, cfg)
+        table_rows.extend(table)
         if cfg.beta in panel_betas:
-            losses = {(o.kind.value, o.k_hat): costbenefit.loss(o, cfg) for o in options}
-            panel = render.curve_panel(f"n={n} k={k} beta={cfg.beta:.4g}", losses,
+            panel = render.curve_panel(f"n={n} k={k} beta={cfg.beta:.4g}",
+                                       {(r["kind"], r["k_hat"]): r["loss"] for r in table},
                                        _CURVE_KINDS)
-            best = costbenefit.optimize_sparsity(options, cfg)
-            panel["marker"] = (best.k_hat, costbenefit.loss(best, cfg), best.kind.value)
+            best = next(r for r in table if r["preferred"])
+            panel["marker"] = (best["k_hat"], best["loss"], best["kind"])
             panels.append(panel)
     return ({"tradeoff.csv": costbenefit.tradeoff_to_csv(table_rows),
              "tradeoff.svg": render.render_curve_panels(panels, ylabel="loss")},

@@ -31,6 +31,7 @@ class TradeoffConfig:
 
     def __post_init__(self):
         check_real("beta", self.beta, ">= 0", lambda b: b >= 0)
+        object.__setattr__(self, "beta", float(self.beta))  # an integer beta is written as a float
         object.__setattr__(self, "utility_kind", UtilityKind(self.utility_kind))
 
 

@@ -106,8 +106,6 @@ def project_psd(matrix: np.ndarray) -> np.ndarray:
         _, singular, vt = np.linalg.svd(sym)
         clipped = 0.5 * (sym + (vt.T * singular) @ vt)
     else:
-        if eigvals[0] >= 0.0:
-            return sym
         clipped = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
     return 0.5 * (clipped + clipped.T)
 

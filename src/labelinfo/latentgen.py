@@ -18,9 +18,8 @@ _SEED_MAX = 2**64
 class LatentDataset:
     """Ground-truth latent points and centroids the learner must recover."""
 
-    points: np.ndarray       # (n, d)
-    centroids: np.ndarray    # (k, d)
-    assignments: np.ndarray  # (n,) generating class per point
+    points: np.ndarray     # (n, d); generate_dataset puts point i in class i mod k
+    centroids: np.ndarray  # (k, d)
 
     @property
     def n(self) -> int:
@@ -65,9 +64,8 @@ def generate_dataset(n: int, k: int, d: int, sigma: float = 0.5, seed: int = 0) 
 
     rng = np.random.default_rng(seed)
     centroids = rng.standard_normal((k, d))
-    assignments = np.arange(n, dtype=np.int64) % k
-    points = centroids[assignments] + sigma * rng.standard_normal((n, d))
-    return LatentDataset(points=points, centroids=centroids, assignments=assignments)
+    points = centroids[np.arange(n) % k] + sigma * rng.standard_normal((n, d))
+    return LatentDataset(points=points, centroids=centroids)
 
 
 def similarity_matrix(items: np.ndarray, normalized: bool = True) -> np.ndarray:

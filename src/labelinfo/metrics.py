@@ -9,17 +9,10 @@ from .gnmds import GramMatrix
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the mean of their positions."""
-    x = np.asarray(x, dtype=float)
-    order = np.argsort(x, kind="mergesort")
-    inverse = np.empty(len(x), dtype=np.intp)
-    inverse[order] = np.arange(len(x))
-    sorted_x = x[order]
-    group_start = np.r_[True, sorted_x[1:] != sorted_x[:-1]]
-    group_id = np.cumsum(group_start) - 1
-    starts = np.flatnonzero(group_start)
-    ends = np.r_[starts[1:], len(x)]
-    mean_rank = (starts + ends + 1) / 2.0  # mean of the 1-based positions
-    return mean_rank[group_id][inverse]
+    _, group_id, counts = np.unique(np.asarray(x, dtype=float), return_inverse=True,
+                                    return_counts=True)
+    ends = np.cumsum(counts)  # a group of c ties holds the 1-based positions end - c + 1 .. end
+    return ((2 * ends - counts + 1) / 2.0)[group_id]
 
 
 def spearman(a, b) -> float:

@@ -65,15 +65,12 @@ def mean_by(rows, key, metric: str) -> dict:
     return {group: (sum(vals) / len(vals), len(vals)) for group, vals in sorted(groups.items())}
 
 
-_PIVOT_COLUMNS = ("facet", "n", "k", "value", "count")
+def render_heatmap(rows, metric: str) -> tuple[str, str]:
+    """One n-by-k heatmap panel per kind; returns (svg, pivot_csv).
 
-
-def pivot_rows(rows, metric: str):
-    """Mean of `metric` per (kind, n, k) over rows with ok status.
-
-    Returns a list of dicts {facet, n, k, value, count}, the facet being the
-    kind, sorted by (kind, n, k); rows whose metric is empty or errored are
-    dropped.
+    Each cell is `mean_by`'s mean of `metric` per (kind, n, k), and the pivot
+    CSV has one facet,n,k,value,count line per cell. The linear color scale is
+    shared across panels, with its min/max printed in the footer.
     """
     if not rows:
         raise ValueError("no rows to pivot")
@@ -81,25 +78,13 @@ def pivot_rows(rows, metric: str):
         if column not in rows[0]:
             raise ValueError(f"unknown column {column!r}")
     means = mean_by(rows, lambda row: (str(row["kind"]), int(row["n"]), int(row["k"])), metric)
-    return [dict(zip(_PIVOT_COLUMNS, (*key, value, count)))
-            for key, (value, count) in means.items()]
-
-
-def render_heatmap(rows, metric: str) -> tuple[str, str]:
-    """One n-by-k heatmap panel per kind; returns (svg, pivot_csv).
-
-    Cells show the rep-averaged metric; the color scale is linear and
-    shared across panels, with its min/max printed in the footer.
-    """
-    pivot = pivot_rows(rows, metric)
-    if not pivot:
+    if not means:
         raise ValueError(f"no usable values for metric {metric!r}")
-    facets = sorted({p["facet"] for p in pivot})
-    ns = sorted({p["n"] for p in pivot})
-    ks = sorted({p["k"] for p in pivot})
-    values = {(p["facet"], p["n"], p["k"]): p["value"] for p in pivot}
-    vmin = min(p["value"] for p in pivot)
-    vmax = max(p["value"] for p in pivot)
+    facets = sorted({facet for facet, _, _ in means})
+    ns = sorted({n for _, n, _ in means})
+    ks = sorted({k for _, _, k in means})
+    values = {cell: value for cell, (value, _) in means.items()}
+    vmin, vmax = min(values.values()), max(values.values())
     span = vmax - vmin
 
     left, top = 60, 46
@@ -142,7 +127,8 @@ def render_heatmap(rows, metric: str) -> tuple[str, str]:
                        f" cells averaged over reps", size=11, anchor="start"))
     parts.append("</svg>")
     svg = "\n".join(p for p in parts if p) + "\n"
-    return svg, rows_to_csv(pivot, _PIVOT_COLUMNS)
+    return svg, "facet,n,k,value,count\n" + matrix_to_csv(
+        (*cell, value, count) for cell, (value, count) in means.items())
 
 
 def _panel_curves(parts, x0, y0, w, h, series, hlines, title, ylabel):

@@ -29,13 +29,13 @@ import numpy as np
 
 from .labels import LabelKind, LabelSet
 
-# The largest set a sweep config or a constraint CSV may ask to mine and solve: over 10x
+# The largest set a sweep config or a constraint CSV may ask to mine and solve: at least 10x
 # the largest any workload, experiment or battery check uses (the mining workload's PCA set at
-# n = k = 40: 246,480 rows over 80 items). At MAX_ITEMS, an m x m float64 matrix is 32 MB.
-# These bound memory, not time: one gnmds.project_psd at m = 2,000 took about 1.5 s on 2
-# cores, so a cell at n = 1, k = 1,999 could run for about 50 minutes of 2,000 iterations.
+# n = k = 40: 246,480 rows over 80 items). At MAX_ITEMS, an m x m float64 matrix is 5 MB, and
+# the largest class-label cell under MAX_ROWS (n = 7, k = 793: 2,214,849 rows) took 0.12-0.15 s
+# per solver iteration on 2 cores, so 4-5 minutes at the 2,000-iteration cap.
 MAX_ROWS = 2_500_000
-MAX_ITEMS = 2_000
+MAX_ITEMS = 800
 # A triplet field as numpy's loadtxt reads an int64: optional sign, ASCII digits.
 _INDEX = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
 

@@ -7,16 +7,16 @@ from labelinfo.latentgen import LatentDataset, generate_dataset, similarity_matr
 
 
 def test_round_robin_balance():
-    ds = generate_dataset(n=6, k=3, d=5, sigma=0.5, seed=7)
-    counts = np.bincount(ds.assignments, minlength=3)
-    assert counts.tolist() == [2, 2, 2]
+    ds = generate_dataset(n=6, k=3, d=5, sigma=1e-9, seed=7)
+    nearest = np.argmin(((ds.points[:, None] - ds.centroids[None]) ** 2).sum(-1), axis=1)
+    assert np.array_equal(nearest, np.arange(6) % 3)  # point i belongs to class i mod k
     assert (ds.n, ds.k, ds.d) == (6, 3, 5)  # read off the arrays
 
 
 def test_tiny_sigma_points_stick_to_centroids():
     ds = generate_dataset(n=3, k=3, d=2, sigma=1e-9, seed=1)
     for i in range(3):
-        assert np.linalg.norm(ds.points[i] - ds.centroids[ds.assignments[i]]) < 1e-6
+        assert np.linalg.norm(ds.points[i] - ds.centroids[i % 3]) < 1e-6
 
 
 def test_generation_deterministic():
@@ -24,7 +24,6 @@ def test_generation_deterministic():
     b = generate_dataset(n=90, k=90, d=125, sigma=0.5, seed=42)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.centroids, b.centroids)
-    assert np.array_equal(a.assignments, b.assignments)
 
 
 def test_different_seeds_differ():
@@ -79,7 +78,11 @@ def test_similarity_upper_triangle_layout():
 def test_class_balance_when_k_divides_n(mult, k, d, seed):
     n = mult * k
     ds = generate_dataset(n=n, k=k, d=d, sigma=0.5, seed=seed)
-    assert np.bincount(ds.assignments, minlength=k).tolist() == [n // k] * k
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(ds.centroids, rng.standard_normal((k, d)))
+    classes = np.arange(n) % k  # point i belongs to class i mod k
+    assert np.array_equal(ds.points, ds.centroids[classes] + 0.5 * rng.standard_normal((n, d)))
+    assert np.bincount(classes, minlength=k).tolist() == [n // k] * k
 
 
 @settings(deadline=None, max_examples=50)

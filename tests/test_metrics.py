@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from labelinfo.gnmds import GramMatrix
 from labelinfo.latentgen import generate_dataset, similarity_matrix
-from labelinfo.metrics import recovery_score, spearman
+from labelinfo.metrics import _average_ranks, recovery_score, spearman
 
 
 def test_spearman_perfect_and_reversed():
@@ -38,6 +38,32 @@ def test_spearman_nonlinear_monotone_is_one():
     x = np.linspace(0.1, 5.0, 20)
     assert spearman(x, np.exp(x)) == 1.0
     assert spearman(x, -np.log(x)) == -1.0
+
+
+def _average_ranks_reference(x):
+    """Tie groups found by hand from a stable sort: the grouping `_average_ranks` replaced."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="mergesort")
+    inverse = np.empty(len(x), dtype=np.intp)
+    inverse[order] = np.arange(len(x))
+    sorted_x = x[order]
+    group_start = np.r_[True, sorted_x[1:] != sorted_x[:-1]]
+    group_id = np.cumsum(group_start) - 1
+    starts = np.flatnonzero(group_start)
+    ends = np.r_[starts[1:], len(x)]
+    mean_rank = (starts + ends + 1) / 2.0  # mean of the 1-based positions
+    return mean_rank[group_id][inverse]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0]),
+                          st.floats(allow_nan=False)), min_size=1, max_size=300))
+def test_average_ranks_match_the_hand_grouped_reference(values):
+    # heavy ties, and -0.0 with 0.0, which compare equal and so share a rank
+    got = _average_ranks(np.array(values))
+    want = _average_ranks_reference(np.array(values))
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 def test_recovery_score_exact_geometry():

@@ -40,9 +40,11 @@ def test_generation_is_deterministic_and_balanced(per_class, k, d, seed):
     b = _tiny_dataset(n, k, d, seed)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.centroids, b.centroids)
-    assert np.array_equal(a.assignments, b.assignments)
-    counts = np.bincount(a.assignments, minlength=k)
-    assert np.all(counts == n // k)
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(a.centroids, rng.standard_normal((k, d)))
+    classes = np.arange(n) % k  # point i belongs to class i mod k
+    assert np.array_equal(a.points, a.centroids[classes] + 0.5 * rng.standard_normal((n, d)))
+    assert np.all(np.bincount(classes, minlength=k) == n // k)
 
 
 @N200

@@ -17,8 +17,7 @@ from labelinfo.gnmds import solve
 from labelinfo.labels import LabelKind, soft_labels
 from labelinfo.latentgen import generate_dataset, similarity_matrix
 from labelinfo.metrics import recovery_score
-from labelinfo.render import (curve_panel, pivot_rows, render_curve_panels, render_heatmap,
-                              rows_to_csv)
+from labelinfo.render import curve_panel, render_curve_panels, render_heatmap, rows_to_csv
 from labelinfo.sweep import (SWEEP_COLUMNS, SignalSpec, SweepSpec, _single_threaded_blas,
                              build_labels, derive_seed, evaluate_cell, mine_constraints,
                              run_sweep, timings_to_csv)
@@ -280,7 +279,7 @@ def test_pca_signal_records_effective_k_hat():
     assert rows[0]["k_hat"] == 3
 
 
-def test_pivot_rows_mean_oracle():
+def test_heatmap_pivot_csv_mean_oracle():
     rows = [
         {"n": 3, "k": 4, "kind": "soft", "rho": 0.5, "status": "ok"},
         {"n": 3, "k": 4, "kind": "soft", "rho": 0.7, "status": "ok"},
@@ -288,15 +287,15 @@ def test_pivot_rows_mean_oracle():
         {"n": 3, "k": 4, "kind": "soft", "rho": 0.9, "status": "error: x"},
         {"n": 5, "k": 4, "kind": "soft", "rho": 0.1, "status": "ok"},
     ]
-    pivot = pivot_rows(rows, metric="rho")
-    table = {(p["facet"], p["n"], p["k"]): (p["value"], p["count"]) for p in pivot}
-    assert table[("soft", 3, 4)] == (pytest.approx(0.6), 2)  # error row dropped
-    assert table[("hard", 3, 4)] == (0.2, 1)
-    assert table[("soft", 5, 4)] == (0.1, 1)
-    with pytest.raises(ValueError):
-        pivot_rows(rows, metric="nope")
     _, csv_text = render_heatmap(rows, "rho")
-    assert csv_text.splitlines()[0] == "facet,n,k,value,count"
+    pivot = list(csv.DictReader(io.StringIO(csv_text)))
+    assert list(pivot[0]) == ["facet", "n", "k", "value", "count"]
+    # one line per (kind, n, k), in that order; the error row is dropped
+    assert [(p["facet"], p["n"], p["k"], p["count"]) for p in pivot] == [
+        ("hard", "3", "4", "1"), ("soft", "3", "4", "2"), ("soft", "5", "4", "1")]
+    assert [float(p["value"]) for p in pivot] == [0.2, pytest.approx(0.6), 0.1]
+    with pytest.raises(ValueError, match="unknown column 'nope'"):
+        render_heatmap(rows, metric="nope")
 
 
 def test_render_heatmap_svg_contents():
@@ -872,8 +871,8 @@ def test_cli_embed_constraints_path_that_is_not_a_string_is_usage_error(tmp_path
     ("2,1", "0,1.0,2", "constraint row 2"),
     ("-1,4", "0,1,2", "n and k must be >= 0"),
     ("2,-1", "0,1,2", "n and k must be >= 0"),
-    ("2147483647,1", "0,1,2", "n=2147483647 k=1: 2147483648 items exceed the item limit of 2000"),
-    ("1000000,0", "0,1,2", "n=1000000 k=0: 1000000 items exceed the item limit of 2000"),
+    ("2147483647,1", "0,1,2", "n=2147483647 k=1: 2147483648 items exceed the item limit of 800"),
+    ("1000000,0", "0,1,2", "n=1000000 k=0: 1000000 items exceed the item limit of 800"),
     ("2,1", "0,1,2\n0,2,1", "n=2 k=1: 3 triplets exceed the row limit of 2"),
     ("2,1", "0,1,0", "constraint row 2 names an item twice; anchor, near and far must differ"),
     ("2,1", "1,2,2", "constraint row 2 names an item twice"),
@@ -946,6 +945,50 @@ def test_cli_tradeoff_writes_an_integer_beta_as_a_float(tmp_path):
     assert [row["beta"] for row in table] == ["0.0", "1.0"]
 
 
+
+def _dirs(tmp_path, *names):
+    """Directories below tmp_path; the last, the working directory, is one level deeper, so a
+    path relative to a sibling config directory does not resolve from it."""
+    dirs = [tmp_path / name for name in names[:-1]] + [tmp_path / "cwd" / names[-1]]
+    for path in dirs:
+        path.mkdir(parents=True)
+    return dirs
+
+
+def test_cli_tradeoff_reads_a_relative_sweep_csv_from_its_config_directory(tmp_path,
+                                                                           monkeypatch):
+    runs, configs, elsewhere = _dirs(tmp_path, "runs", "configs", "elsewhere")
+    (runs / "sweep.csv").write_text(rows_to_csv([_sweep_row()], SWEEP_COLUMNS))
+    cfg = _write_config(configs, "t.json", {"sweep_csv": "../runs/sweep.csv",
+                                            "n": 6, "k": 4, "d": 3, "beta_grid": [0.0, 0.1]})
+    monkeypatch.chdir(elsewhere)  # ../runs is not there from the working directory
+    for config_arg in ("../../configs/t.json", cfg):
+        assert main(["tradeoff", "--config", config_arg, "--out", "tr"]) == 0
+        table = _read_rows((elsewhere / "tr" / "tradeoff.csv").read_text())
+        assert [(row["kind"], row["beta"]) for row in table] == [("sparse", "0.0"),
+                                                                  ("sparse", "0.1")]
+        manifest = json.loads((elsewhere / "tr" / "run_manifest.json").read_text())
+        assert manifest["spec"]["sweep_csv"] == "../runs/sweep.csv"  # echoed as written
+
+
+def test_cli_embed_reads_a_relative_constraints_csv_from_its_config_directory(tmp_path,
+                                                                              monkeypatch):
+    data, configs, elsewhere = _dirs(tmp_path, "data", "configs", "elsewhere")
+    ds = generate_dataset(n=4, k=3, d=3, seed=2)
+    (data / "constraints.csv").write_text(constraints_to_csv(
+        mine_constraints(soft_labels(ds), ds.n)))
+    solver = {"max_iterations": 50}
+    absolute = _write_config(configs, "abs.json", {
+        "constraints_csv": str(data / "constraints.csv"), "solver": solver})
+    _write_config(configs, "rel.json", {"constraints_csv": "../data/constraints.csv",
+                                        "solver": solver})
+    monkeypatch.chdir(elsewhere)  # ../data is not there from the working directory
+    assert main(["embed", "--config", absolute, "--out", "abs"]) == 0
+    assert main(["embed", "--config", "../../configs/rel.json", "--out", "rel"]) == 0
+    assert (elsewhere / "rel" / "gram.csv").read_bytes() == (
+        elsewhere / "abs" / "gram.csv").read_bytes()
+
+
 def _command_argv(tmp_path, command):
     """A small accepted run of `command`, without --out."""
     constraints_csv = tmp_path / "constraints.csv"
@@ -1012,13 +1055,15 @@ def test_cli_manifest_is_written_by_every_command_but_defaults(tmp_path):
      "signal topclass needs n >= 3, got n_grid value 2"),
     # the largest cell would mine and solve a set past a size limit
     ({"n_grid": [3, 100000], "k_grid": [2]}, {"kind": "soft"},
-     "cell n=100000 k=2 hard: 100002 items exceed the item limit of 2000"),
-    ({"n_grid": [40], "k_grid": [1000]}, {"kind": "soft"},
-     "cell n=40 k=1000 hard: 20760000 triplets exceed the row limit of 2500000"),
+     "cell n=100000 k=2 hard: 100002 items exceed the item limit of 800"),
+    ({"n_grid": [1], "k_grid": [800]}, {"kind": "soft"},
+     "cell n=1 k=800 hard: 801 items exceed the item limit of 800"),
+    ({"n_grid": [40], "k_grid": [700]}, {"kind": "soft"},
+     "cell n=40 k=700 hard: 10332000 triplets exceed the row limit of 2500000"),
     ({"n_grid": [100], "k_grid": [100]}, {"kind": "pca", "k_hat": 2},
      "cell n=100 k=100 pca: 3940200 triplets exceed the row limit of 2500000"),
 ], ids=["sparse_k_hat", "topclass_k_hat", "topclass_n", "items_past_limit",
-        "class_rows_past_limit", "pca_rows_past_limit"])
+        "one_item_past_limit", "class_rows_past_limit", "pca_rows_past_limit"])
 def test_sweep_rejects_partial_signals_the_grid_cannot_build(tmp_path, monkeypatch, capsys,
                                                             grids, signal, message):
     base = {"n_grid": [3], "k_grid": [4], "d_grid": [3], "reps": 1}
@@ -1034,3 +1079,6 @@ def test_sweep_rejects_partial_signals_the_grid_cannot_build(tmp_path, monkeypat
     # PCA k_hat may exceed k, and a sparse label needs no third point
     SweepSpec.from_dict({**base, "k_grid": [3], "signals": [{"kind": "pca", "k_hat": 5}]})
     SweepSpec.from_dict({**base, "n_grid": [2], "signals": [{"kind": "sparse", "k_hat": 1}]})
+    # a cell of exactly MAX_ITEMS items is accepted
+    SweepSpec.from_dict({**base, "n_grid": [1], "k_grid": [triplets.MAX_ITEMS - 1],
+                         "signals": [{"kind": "soft"}]})
