@@ -25,8 +25,6 @@ from .costbenefit import TradeoffConfig, UtilityKind
 from .gnmds import SolverConfig, check_count, extract_embedding, solve
 from .labels import CLASS_TRUNCATIONS, PARTIAL_KINDS, LabelKind
 
-_CURVE_KINDS = tuple(kind.value for kind in PARTIAL_KINDS)
-
 
 class UsageError(Exception):
     pass
@@ -206,12 +204,10 @@ def cmd_tradeoff(args):
         table = costbenefit.tradeoff_table(options, cfg)
         table_rows.extend(table)
         if cfg.beta in panel_betas:
-            panel = render.curve_panel(f"n={n} k={k} beta={cfg.beta:.4g}",
-                                       {(r["kind"], r["k_hat"]): r["loss"] for r in table},
-                                       _CURVE_KINDS)
             best = next(r for r in table if r["preferred"])
-            panel["marker"] = (best["k_hat"], best["loss"], best["kind"])
-            panels.append(panel)
+            panels.append((f"n={n} k={k} beta={cfg.beta:.4g}",
+                           {(r["kind"], r["k_hat"]): r["loss"] for r in table},
+                           (best["k_hat"], best["loss"], best["kind"])))
     return ({"tradeoff.csv": costbenefit.tradeoff_to_csv(table_rows),
              "tradeoff.svg": render.render_curve_panels(panels, ylabel="loss")},
             {**config, "beta_grid": beta_grid}, 0)
@@ -231,7 +227,7 @@ def _sparsity_sweep_config(config: dict) -> dict:
     if not k_hat_grid:
         raise ValueError(f"k_hat_grid has no values in [1, {k}]")
     signals = [{"kind": "hard"}, {"kind": "soft"}] + [
-        {"kind": kind, "k_hat": k_hat} for kind in _CURVE_KINDS for k_hat in k_hat_grid]
+        {"kind": kind.value, "k_hat": k_hat} for kind in PARTIAL_KINDS for k_hat in k_hat_grid]
     rest = {key: config[key] for key in ("reps", "sigma", "base_seed", "solver")
             if key in config}
     return {"n_grid": [n], "k_grid": [k], "d_grid": [d], "signals": signals, **rest}
@@ -240,12 +236,11 @@ def _sparsity_sweep_config(config: dict) -> dict:
 def _rho_curves(rows) -> dict:
     means = render.mean_by(rows, lambda row: (row["kind"], row["k_hat"]), "rho")
     n, k, d = (rows[0][c] for c in ("n", "k", "d"))
-    panel = render.curve_panel(f"n={n} k={k} d={d}",
-                               {key: mean for key, (mean, _) in means.items()},
-                               _CURVE_KINDS)
-    if not panel["series"]:
+    panel = (f"n={n} k={k} d={d}", {key: mean for key, (mean, _) in means.items()}, None)
+    try:
+        return {"sparsity.svg": render.render_curve_panels([panel], ylabel="rho")}
+    except ValueError:
         return {}  # no partial signal has an ok row to draw
-    return {"sparsity.svg": render.render_curve_panels([panel], ylabel="rho")}
 
 
 def sparsity_spec(path: str | None) -> sweep.SweepSpec:
@@ -305,7 +300,9 @@ def main(argv=None) -> int:
                              else f"--out {args.out} lies below {existing}, not a directory")
         files, spec, status = args.func(args)
         if spec is not None:
-            manifest = {"command": args.command, "tool_version": __version__, "spec": spec}
+            manifest = {"command": args.command, "tool_version": __version__,
+                        "config": args.config and str(Path(args.config).resolve()),
+                        "spec": spec}
             if "workers" in args:
                 manifest["workers"] = args.workers
             manifest["wall_time_seconds"] = time.perf_counter() - start

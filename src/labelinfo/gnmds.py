@@ -82,6 +82,7 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("margin", "lam", "tolerance"):
             check_real(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))  # so JSON's 1 writes as 1.0
         check_count("max_iterations", self.max_iterations, 1)
 
 

@@ -6,6 +6,8 @@ on the input rows.
 """
 from __future__ import annotations
 
+from .labels import PARTIAL_KINDS
+
 _CELL_W, _CELL_H = 56, 34
 _LO_COLOR = (247, 251, 255)
 _HI_COLOR = (8, 48, 107)
@@ -36,6 +38,14 @@ def _text(x, y, s, size=11, anchor="middle", fill="#000000") -> str:
     return (f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" '
             f'font-family="sans-serif" text-anchor="{anchor}" '
             f'fill="{fill}">{_escape(str(s))}</text>')
+
+
+def _svg(width, height, parts) -> str:
+    """An SVG document of `parts` on a white background."""
+    return "\n".join([f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+                      f'height="{height}" viewBox="0 0 {width} {height}">',
+                      '<rect width="100%" height="100%" fill="#ffffff"/>', *parts,
+                      "</svg>"]) + "\n"
 
 
 def _format_value(value) -> str:
@@ -91,11 +101,7 @@ def render_heatmap(rows, metric: str) -> tuple[str, str]:
     panel_w = len(ks) * _CELL_W
     panel_h = len(ns) * _CELL_H
     gap = 40
-    width = left + len(facets) * (panel_w + gap)
-    height = top + panel_h + 58
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             '<rect width="100%" height="100%" fill="#ffffff"/>']
+    parts = []
     for pi, fval in enumerate(facets):
         x0 = left + pi * (panel_w + gap)
         parts.append(_text(x0 + panel_w / 2, top - 24, f"kind = {fval}", size=13))
@@ -119,20 +125,29 @@ def render_heatmap(rows, metric: str) -> tuple[str, str]:
                 text_fill = "#ffffff" if t > 0.6 else "#000000"
                 parts.append(_text(x + _CELL_W / 2, y + _CELL_H / 2 + 4,
                                    f"{v:.3f}", size=9, fill=text_fill))
-        parts.append(_text(x0 - 34, top + panel_h / 2, "n", size=11)
-                     if pi == 0 else "")
+        if pi == 0:
+            parts.append(_text(x0 - 34, top + panel_h / 2, "n", size=11))
         parts.append(_text(x0 + panel_w / 2, top + panel_h + 16, "k", size=11))
     parts.append(_text(left, top + panel_h + 40,
                        f"{metric}: min={vmin:.6g} max={vmax:.6g}, linear scale,"
                        f" cells averaged over reps", size=11, anchor="start"))
-    parts.append("</svg>")
-    svg = "\n".join(p for p in parts if p) + "\n"
+    svg = _svg(left + len(facets) * (panel_w + gap), top + panel_h + 58, parts)
     return svg, "facet,n,k,value,count\n" + matrix_to_csv(
         (*cell, value, count) for cell, (value, count) in means.items())
 
 
-def _panel_curves(parts, x0, y0, w, h, series, hlines, title, ylabel):
-    """Draw one axes panel with line series and horizontal reference lines."""
+def _panel_curves(parts, x0, y0, w, h, title, values, marker, ylabel):
+    """Draw one axes panel: each partial kind in {(kind, k_hat): y} as a curve over k_hat,
+    any other kind as a horizontal reference line, and a marker (k_hat, y, label) if given."""
+    series: dict = {}
+    hlines = {}
+    for (kind, k_hat), y in sorted(values.items()):
+        if kind in {partial.value for partial in PARTIAL_KINDS}:
+            series.setdefault(kind, []).append((k_hat, y))
+        else:
+            hlines[kind] = y
+    if not series:
+        raise ValueError(f"panel {title!r} has no partial kind to draw")
     xs = sorted({x for pts in series.values() for x, _ in pts})
     all_y = [y for pts in series.values() for _, y in pts] + list(hlines.values())
     ymin, ymax = min(all_y), max(all_y)
@@ -167,58 +182,32 @@ def _panel_curves(parts, x0, y0, w, h, series, hlines, title, ylabel):
                            fill=color))
     for name, pts in sorted(series.items()):
         color = _SERIES_COLORS.get(name, "#555555")
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in sorted(pts))
+        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         for x, y in pts:
             parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" '
                          f'fill="{color}"/>')
-        lx, ly = sorted(pts)[-1]
+        lx, ly = pts[-1]
         parts.append(_text(px(lx) + 4, py(ly), name, size=9, anchor="start",
                            fill=color))
-    return px, py
-
-
-def curve_panel(title: str, values: dict, curve_kinds) -> dict:
-    """Panel for `render_curve_panels` from {(kind, k_hat): y}.
-
-    Each kind in `curve_kinds` becomes a curve over k_hat; any other kind
-    becomes a horizontal reference line.
-    """
-    series: dict = {}
-    hlines = {}
-    for (kind, k_hat), y in sorted(values.items()):
-        if kind in curve_kinds:
-            series.setdefault(kind, []).append((k_hat, y))
-        else:
-            hlines[kind] = y
-    return {"title": title, "series": series, "hlines": hlines}
+    if marker is not None:
+        mx, my, label = marker
+        parts.append(f'<circle cx="{px(mx):.2f}" cy="{py(my):.2f}" r="5" '
+                     f'fill="none" stroke="#000000" stroke-width="1.5"/>')
+        parts.append(_text(px(mx), py(my) - 9, label, size=9))
 
 
 def render_curve_panels(panels, ylabel: str) -> str:
-    """Row of line-plot panels over k_hat.
+    """Row of line-plot panels over k_hat, one per (title, {(kind, k_hat): y}, marker).
 
-    `panels` is a list of dicts {title, series: {name: [(x, y), ...]},
-    hlines: {name: y}, marker: optional (x, y, label)}.
+    `marker` is None or (k_hat, y, label). A panel with no partial kind raises ValueError.
     """
     if not panels:
         raise ValueError("no panels to render")
     w, h = 240, 190
     left, top, gap = 70, 40, 80
-    width = left + len(panels) * (w + gap)
-    height = top + h + 60
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             '<rect width="100%" height="100%" fill="#ffffff"/>']
+    parts = []
     for i, panel in enumerate(panels):
-        x0 = left + i * (w + gap)
-        px, py = _panel_curves(parts, x0, top, w, h, panel["series"],
-                               panel.get("hlines", {}), panel["title"], ylabel)
-        marker = panel.get("marker")
-        if marker is not None:
-            mx, my, label = marker
-            parts.append(f'<circle cx="{px(mx):.2f}" cy="{py(my):.2f}" r="5" '
-                         f'fill="none" stroke="#000000" stroke-width="1.5"/>')
-            parts.append(_text(px(mx), py(my) - 9, label, size=9))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        _panel_curves(parts, left + i * (w + gap), top, w, h, *panel, ylabel)
+    return _svg(left + len(panels) * (w + gap), top + h + 60, parts)

@@ -9,6 +9,7 @@ result rows to keep the emitted sweep CSV byte-reproducible.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import time
 from contextlib import contextmanager
@@ -81,10 +82,6 @@ class SignalSpec:
             out["k_hat"] = self.k_hat
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SignalSpec":
-        return from_config(cls, data, "signal")
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -111,6 +108,8 @@ class SweepSpec:
         check_real("sigma", self.sigma)
         for eps in self.epsilon_grid:
             check_real("flip rate", eps, "in [0, 1]", lambda e: 0 <= e <= 1)
+        object.__setattr__(self, "sigma", float(self.sigma))  # JSON's 1 writes and seeds as 1.0
+        object.__setattr__(self, "epsilon_grid", tuple(map(float, self.epsilon_grid)))
         # a signal that some cell cannot build would only fill rows with errors
         k, n = min(self.k_grid), min(self.n_grid)
         for signal in self.signals:
@@ -128,14 +127,9 @@ class SweepSpec:
             triplets.check_size(f"cell n={n} k={k} {signal.kind.value}", n + k, rows)
 
     def cells(self):
-        """Deterministic cell order; one result row per cell."""
-        for n in self.n_grid:
-            for k in self.k_grid:
-                for d in self.d_grid:
-                    for signal in self.signals:
-                        for eps in self.epsilon_grid:
-                            for rep in range(self.reps):
-                                yield (n, k, d, signal, eps, rep)
+        """Deterministic cell order, the last coordinate fastest; one result row per cell."""
+        return itertools.product(self.n_grid, self.k_grid, self.d_grid, self.signals,
+                                 self.epsilon_grid, range(self.reps))
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -147,7 +141,7 @@ class SweepSpec:
         reject_unknown_keys(data, {f.name for f in dataclass_fields(cls)}, "sweep config")
         kwargs = dict(data)
         if "signals" in data:
-            kwargs["signals"] = [SignalSpec.from_dict(s) for s in data["signals"]]
+            kwargs["signals"] = [from_config(SignalSpec, s, "signal") for s in data["signals"]]
         if "solver" in data:
             kwargs["solver"] = from_config(SolverConfig, data["solver"], "solver config")
         return cls(**kwargs)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from labelinfo.gnmds import solve
 from labelinfo.labels import LabelKind, soft_labels
 from labelinfo.latentgen import generate_dataset, similarity_matrix
 from labelinfo.metrics import recovery_score
-from labelinfo.render import curve_panel, render_curve_panels, render_heatmap, rows_to_csv
+from labelinfo.render import render_curve_panels, render_heatmap, rows_to_csv
 from labelinfo.sweep import (SWEEP_COLUMNS, SignalSpec, SweepSpec, _single_threaded_blas,
                              build_labels, derive_seed, evaluate_cell, mine_constraints,
                              run_sweep, timings_to_csv)
@@ -38,13 +39,13 @@ def test_derive_seed_is_stable_and_sensitive():
 
 def test_signal_spec_round_trip_and_validation():
     s = SignalSpec(LabelKind.SPARSE_SOFT, k_hat=3)
-    assert SignalSpec.from_dict(s.to_dict()) == s
+    assert sweep.from_config(SignalSpec, s.to_dict(), "signal") == s
     with pytest.raises(ValueError):
         SignalSpec(LabelKind.PCA_COORDS)  # k_hat required
     plain = SignalSpec(LabelKind.SOFT)
     assert plain.to_dict() == {"kind": "soft"}
     with pytest.raises(ValueError, match="parm"):
-        SignalSpec.from_dict({"kind": "smoothed", "parm": 0.3})
+        sweep.from_config(SignalSpec, {"kind": "smoothed", "parm": 0.3}, "signal")
 
 
 # smoothing has one rate, so no kind takes a param
@@ -55,7 +56,7 @@ def test_signal_spec_round_trip_and_validation():
 def test_signal_spec_rejects_fields_its_kind_ignores(tmp_path, monkeypatch, capsys, signal,
                                                      message):
     with pytest.raises(ValueError, match=message):
-        SignalSpec.from_dict(signal)
+        sweep.from_config(SignalSpec, signal, "signal")
     cfg = _write_config(tmp_path, "spec.json", {"signals": [signal]})
     out = tmp_path / "out"
     monkeypatch.setattr(sweep, "run_sweep", lambda *_, **__: pytest.fail("ran a cell"))
@@ -83,6 +84,15 @@ def test_cells_order_and_count():
     assert cells[0][3].kind is LabelKind.HARD and cells[0][5] == 0
     assert cells[1][5] == 1
     assert cells[2][3].kind is LabelKind.SOFT
+    # every axis varied: the nested loops are the reference order, the last axis fastest
+    spec = SweepSpec(n_grid=(5, 3), k_grid=(4, 3), d_grid=(2, 3),
+                     signals=(SignalSpec(LabelKind.SOFT), SignalSpec(LabelKind.HARD)),
+                     epsilon_grid=(0.0, 0.2), reps=2)
+    expected = [(n, k, d, signal, eps, rep)
+                for n in spec.n_grid for k in spec.k_grid for d in spec.d_grid
+                for signal in spec.signals for eps in spec.epsilon_grid
+                for rep in range(spec.reps)]
+    assert list(spec.cells()) == expected and len(expected) == 2 ** 6
 
 
 def test_evaluate_cell_ok_row():
@@ -309,11 +319,41 @@ def test_render_heatmap_svg_contents():
 
 
 def test_render_curve_panels_svg():
-    panels = [{"title": "demo", "series": {"sparse": [(1, 0.2), (2, 0.5)]},
-               "hlines": {"soft": 0.6}, "marker": (2, 0.5, "sparse")}]
+    panels = [("demo", {("sparse", 1): 0.2, ("sparse", 2): 0.5, ("soft", ""): 0.6},
+               (2, 0.5, "sparse"))]
     svg = render_curve_panels(panels, ylabel="rho")
-    assert svg.startswith("<svg") and ">k_hat</text>" in svg
-    assert "demo" in svg and "polyline" in svg and "circle" in svg
+    assert svg.startswith("<svg") and svg.endswith("</svg>\n") and ">k_hat</text>" in svg
+    assert "demo" in svg and "polyline" in svg
+    assert svg.count("<circle") == 3  # two points and the marker
+    assert 'r="5"' not in render_curve_panels([(*panels[0][:2], None)], ylabel="rho")
+
+
+# expected values are the SHA-256 of the renderers' output before the curve panels
+# became (title, values, marker) tuples and both renderers shared one SVG frame
+_CURVE_VALUES = {("hard", ""): 0.1, ("soft", ""): 0.7, ("sparse", 1): 0.3, ("sparse", 2): 0.4,
+                 ("pca", 1): 0.2, ("pca", 3): 0.6, ("topclass", 1): 0.25, ("topclass", 2): 0.35}
+
+
+def test_render_curve_panels_bytes_are_pinned():
+    panels = [("n=4 k=4 d=5", _CURVE_VALUES, (2, 0.4, "sparse")),
+              ("flat", {("sparse", 1): 0.5, ("sparse", 2): 0.5}, None)]
+    svg = render_curve_panels(panels, ylabel="rho")
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "8cbec7966f31f94b46e65e016152c02fc7f47c45e9f7014a1a2540fd86a1e089")
+
+
+def test_render_heatmap_bytes_are_pinned():
+    rows = [{"n": 3, "k": 4, "kind": "hard", "rho": 0.2, "status": "ok"},
+            {"n": 3, "k": 4, "kind": "soft", "rho": 0.5, "status": "ok"},
+            {"n": 3, "k": 4, "kind": "soft", "rho": 0.7, "status": "ok"},
+            {"n": 3, "k": 8, "kind": "soft", "rho": 0.9, "status": "ok"},
+            {"n": 5, "k": 4, "kind": "soft", "rho": -0.1, "status": "ok"},
+            {"n": 5, "k": 8, "kind": "soft", "rho": 0.4, "status": "error: x"}]
+    svg, pivot_csv = render_heatmap(rows, "rho")
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "8836536ece26cddc85bc707938e5f472091415b3f95df5f4bf0ac4ec00ac6a1c")
+    assert hashlib.sha256(pivot_csv.encode()).hexdigest() == (
+        "389d319cc2ad4f2fa6a225122c544882d82edc093df31c8c6240cfcbe4168a4b")
 
 
 def test_render_escape_matches_saxutils():
@@ -335,10 +375,15 @@ def _write_config(tmp_path, name, payload):
 def test_curve_panel_splits_partial_kinds_from_reference_lines():
     values = {("pca", 3): 0.6, ("hard", ""): 0.1, ("sparse", 2): 0.4,
               ("pca", 1): 0.2, ("soft", ""): 0.7, ("sparse", 1): 0.3}
-    panel = curve_panel("demo", values, ("sparse", "pca"))
-    assert panel == {"title": "demo",
-                     "series": {"pca": [(1, 0.2), (3, 0.6)], "sparse": [(1, 0.3), (2, 0.4)]},
-                     "hlines": {"hard": 0.1, "soft": 0.7}}
+    svg = render_curve_panels([("demo", values, None)], ylabel="rho")
+    # one polyline per partial kind and one line per other kind, each in name order
+    lines = [line for line in svg.splitlines() if line.startswith(("<polyline", "<line"))]
+    assert [line.split()[0] for line in lines] == ["<line", "<line", "<polyline", "<polyline"]
+    assert [line.split('stroke="')[1][:7] for line in lines] == [
+        render._SERIES_COLORS[kind] for kind in ("hard", "soft", "pca", "sparse")]
+    assert [line.count(",") for line in lines[2:]] == [2, 2]  # two points per curve
+    with pytest.raises(ValueError, match="panel 'flat' has no partial kind"):
+        render_curve_panels([("flat", {("hard", ""): 0.1, ("soft", ""): 0.7}, None)], "rho")
 
 
 def test_cli_defaults(capsys):
@@ -380,6 +425,23 @@ def test_cli_simulate_and_determinism(tmp_path):
     out3 = tmp_path / "c"
     assert main(["simulate", "--config", other, "--out", str(out3)]) == 0
     assert (out1 / "sweep.csv").read_text() != (out3 / "sweep.csv").read_text()
+
+
+def test_cli_a_json_integer_setting_writes_what_its_float_writes(tmp_path):
+    """An integer flip rate would otherwise seed the noise from "1", not "1.0"."""
+    base = {"n_grid": [3], "k_grid": [3], "d_grid": [2], "reps": 1}
+    written = []
+    for number in (int, float):
+        cfg = _write_config(tmp_path, f"{number.__name__}.json", {
+            **base, "epsilon_grid": [number(0), number(1)], "sigma": number(1),
+            "solver": {"lam": number(1), "max_iterations": 50}})
+        out = tmp_path / number.__name__
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        del manifest["wall_time_seconds"], manifest["config"]
+        written.append(((out / "sweep.csv").read_bytes(), manifest))
+    assert written[0] == written[1]
+    assert written[0][1]["spec"]["epsilon_grid"] == [0.0, 1.0]
 
 
 def _program_env(**extra):
@@ -731,7 +793,7 @@ def test_signal_param_outside_its_range_is_usage_error(tmp_path, monkeypatch, ca
     """Smoothing has one rate, so no value of a smoothed signal's `param` is in range:
     each, whatever its type, is refused as an unknown key before any cell runs."""
     with pytest.raises(ValueError, match="unknown signal keys: param"):
-        SignalSpec.from_dict(signal)
+        sweep.from_config(SignalSpec, signal, "signal")
     cfg = _write_config(tmp_path, "spec.json", {"signals": [signal]})
     out = tmp_path / "out"
     monkeypatch.setattr(sweep, "run_sweep", lambda *_, **__: pytest.fail("ran a cell"))
@@ -969,6 +1031,10 @@ def test_cli_tradeoff_reads_a_relative_sweep_csv_from_its_config_directory(tmp_p
                                                                   ("sparse", "0.1")]
         manifest = json.loads((elsewhere / "tr" / "run_manifest.json").read_text())
         assert manifest["spec"]["sweep_csv"] == "../runs/sweep.csv"  # echoed as written
+        # the manifest alone resolves it: its config names the file absolutely
+        assert manifest["config"] == str(configs.resolve() / "t.json")
+        resolved = Path(manifest["config"]).parent / manifest["spec"]["sweep_csv"]
+        assert resolved.read_text() == (runs / "sweep.csv").read_text()
 
 
 def test_cli_embed_reads_a_relative_constraints_csv_from_its_config_directory(tmp_path,
@@ -1040,8 +1106,10 @@ def test_cli_manifest_is_written_by_every_command_but_defaults(tmp_path):
             continue
         manifest = json.loads((out / "run_manifest.json").read_text())
         workers = ["workers"] if command in ("simulate", "sparsity") else []
-        assert list(manifest) == ["command", "tool_version", "spec", *workers,
+        assert list(manifest) == ["command", "tool_version", "config", "spec", *workers,
                                   "wall_time_seconds"]
+        config = _command_argv(tmp_path, command)[2]
+        assert manifest["config"] == str(Path(config).resolve())
         assert manifest["command"] == command
         assert manifest["tool_version"] == labelinfo.__version__
 
