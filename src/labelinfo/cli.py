@@ -22,8 +22,9 @@ import numpy as np
 
 from . import __version__, costbenefit, render, sweep, triplets
 from .costbenefit import TradeoffConfig, UtilityKind
-from .gnmds import SolverConfig, check_count, extract_embedding, solve
+from .gnmds import SolverConfig, extract_embedding, solve
 from .labels import CLASS_TRUNCATIONS, PARTIAL_KINDS, LabelKind
+from .validate import check_count
 
 
 class UsageError(Exception):

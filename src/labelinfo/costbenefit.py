@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gnmds import check_real
 from .labels import PARTIAL_KINDS, LabelKind
 from .render import rows_to_csv
+from .validate import check_count, check_real
 
 
 class UtilityKind(enum.Enum):
@@ -30,8 +30,7 @@ class TradeoffConfig:
     utility_kind: UtilityKind = UtilityKind.LINEAR
 
     def __post_init__(self):
-        check_real("beta", self.beta, ">= 0", lambda b: b >= 0)
-        object.__setattr__(self, "beta", float(self.beta))  # an integer beta is written as a float
+        object.__setattr__(self, "beta", check_real("beta", self.beta, ">= 0", lambda b: b >= 0))
         object.__setattr__(self, "utility_kind", UtilityKind(self.utility_kind))
 
 
@@ -43,12 +42,9 @@ class SignalOption:
     cost_units: float
 
     def __post_init__(self):
-        if self.k_hat < 1:
-            raise ValueError(f"k_hat must be >= 1, got {self.k_hat}")
-        if not -1.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
-        if self.cost_units <= 0:
-            raise ValueError(f"cost must be positive, got {self.cost_units}")
+        check_count("k_hat", self.k_hat, 1)
+        check_real("rho", self.rho, "in [-1, 1]", lambda r: -1 <= r <= 1)
+        check_real("cost", self.cost_units)
 
 
 # Per-point cost in hard-label units. Smoothing is a free transform of an
@@ -62,8 +58,8 @@ _FLAT_COSTS = {
 
 def cost(kind: LabelKind, n: int, k: int, k_hat: int | None = None) -> float:
     """Normalized per-point cost c_hat of eliciting a signal of this kind."""
-    if n < 1 or k < 1:
-        raise ValueError(f"n and k must be >= 1, got n={n}, k={k}")
+    check_count("n", n, 1)
+    check_count("k", k, 1)
     if kind in _FLAT_COSTS:
         return _FLAT_COSTS[kind]
     if kind is LabelKind.SOFT:
@@ -71,10 +67,7 @@ def cost(kind: LabelKind, n: int, k: int, k_hat: int | None = None) -> float:
     if kind in PARTIAL_KINDS:
         if k_hat is None:
             raise ValueError(f"{kind.value} cost requires k_hat")
-        top = n + k if kind is LabelKind.PCA_COORDS else k
-        if not 1 <= k_hat <= top:
-            raise ValueError(f"k_hat must lie in [1, {top}], got {k_hat}")
-        return float(k_hat)
+        return float(check_count("k_hat", k_hat, 1, n + k if kind is LabelKind.PCA_COORDS else k))
     raise ValueError(f"no cost model for kind {kind!r}")
 
 
@@ -92,8 +85,7 @@ def signal_option(kind: LabelKind, n: int, k: int, k_hat: int | None,
 
 
 def utility(rho: float, config: TradeoffConfig) -> float:
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
+    check_real("rho", rho, "in [-1, 1]", lambda r: -1 <= r <= 1)
     if config.utility_kind is UtilityKind.LINEAR:
         return float(rho)
     return float(1.0 / (1.0 + np.exp(-rho)))

@@ -30,13 +30,12 @@ and the next iteration's active set.
 from __future__ import annotations
 
 import hashlib
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .triplets import ConstraintSet
+from .validate import check_count, check_real
 
 # Convergence is declared when the best objective improves by less than
 # tolerance (relative) over this many consecutive iterations. At the default
@@ -50,28 +49,6 @@ _WINDOW = 10
 _GROW = 1.2
 
 
-def check_count(name: str, value, low: int, high: int | None = None) -> None:
-    """Reject a count that is not an integer (a bool included) or lies outside [low, high].
-
-    A float count would otherwise fail deep inside a run, as a TypeError traceback.
-    """
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < low or (high is not None and value > high)):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
-
-
-def check_real(name: str, value, bounds: str = "> 0", holds=lambda v: v > 0) -> None:
-    """Reject a value that is not a finite real number (a bool included) or fails `holds`.
-
-    A JSON `true` would otherwise pass every range test as the number 1, and
-    Python's json reads `Infinity`, which passes every lower bound.
-    """
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or not holds(value)):
-        raise ValueError(f"{name} must be a number {bounds}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     margin: float = 1.0
@@ -81,8 +58,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("margin", "lam", "tolerance"):
-            check_real(name, getattr(self, name))
-            object.__setattr__(self, name, float(getattr(self, name)))  # so JSON's 1 writes as 1.0
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         check_count("max_iterations", self.max_iterations, 1)
 
 
@@ -201,9 +177,7 @@ def _solve(constraints: ConstraintSet, config: SolverConfig) -> GramMatrix:
 
 def extract_embedding(gram: GramMatrix, h: int) -> np.ndarray:
     """Coordinates from the top-h eigenpairs: row i is (sqrt(l_j) v_j[i])_j."""
-    m = gram.entries.shape[0]
-    if not 1 <= h <= m:
-        raise ValueError(f"embedding rank must lie in [1, {m}], got {h}")
+    check_count("embedding rank", h, 1, gram.entries.shape[0])
     eigvals, eigvecs = np.linalg.eigh(gram.entries)
     top = np.argsort(eigvals)[::-1][:h]
     scale = np.sqrt(np.maximum(eigvals[top], 0.0))

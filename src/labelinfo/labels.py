@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .latentgen import LatentDataset
+from .validate import check_count, check_real
 
 
 class LabelKind(enum.Enum):
@@ -69,8 +70,7 @@ def soft_labels(dataset: LatentDataset) -> LabelSet:
 
 def smooth_labels(hard: LabelSet, epsilon: float) -> LabelSet:
     """Image-independent smoothing: the typicality labels of a constant score 1-eps."""
-    if not 0 <= epsilon < 1:
-        raise ValueError(f"smoothing rate must lie in [0, 1), got {epsilon}")
+    check_real("smoothing rate", epsilon, "in [0, 1)", lambda e: 0 <= e < 1)
     typical = typicality_labels(hard, np.full(hard.values.shape[0], 1.0 - epsilon))
     return replace(typical, kind=LabelKind.SMOOTHED)
 
@@ -101,8 +101,7 @@ def sparsify_labels(soft: LabelSet, k_hat: int) -> LabelSet:
     if soft.kind not in (LabelKind.SOFT, LabelKind.SMOOTHED, LabelKind.TYPICALITY):
         raise TypeError(f"sparsify_labels requires a dense soft variant, got {soft.kind.value}")
     n, k = soft.values.shape
-    if not 1 <= k_hat <= k:
-        raise ValueError(f"k_hat must lie in [1, {k}], got {k_hat}")
+    check_count("k_hat", k_hat, 1, k)
     # Stable sort on negated values keeps the lowest class index first among ties.
     order = np.argsort(-soft.values, axis=1, kind="stable")
     keep = order[:, :k_hat]
@@ -124,8 +123,7 @@ def _columns_mutual_information(values: np.ndarray, reference: np.ndarray) -> np
     Non-negative by construction; exactly 0 for a constant column.
     """
     n, k = values.shape
-    if n < 3:
-        raise ValueError(f"need at least 3 points to estimate column information, got {n}")
+    check_count("column information's point count", n, 3)
     bins = _MI_BINS
     iu = np.triu_indices(n, 1)
     y = _equal_frequency_codes(reference[iu])
@@ -160,8 +158,7 @@ def topclass_labels(soft: LabelSet, k_hat: int, reference: np.ndarray) -> LabelS
     if soft.kind is not LabelKind.SOFT:
         raise TypeError(f"topclass_labels requires soft labels, got {soft.kind.value}")
     n, k = soft.values.shape
-    if not 1 <= k_hat <= k:
-        raise ValueError(f"k_hat must lie in [1, {k}], got {k_hat}")
+    check_count("k_hat", k_hat, 1, k)
     if reference.shape != (n, n):
         raise ValueError(f"reference has shape {reference.shape}, labels have {n} points")
     retained = np.argsort(-_columns_mutual_information(soft.values, reference),
@@ -172,19 +169,17 @@ def topclass_labels(soft: LabelSet, k_hat: int, reference: np.ndarray) -> LabelS
 
 
 def pca_encode(dataset: LatentDataset, k_hat: int) -> LabelSet:
-    """Coordinates of all n+k items in the top-k_hat principal-component basis.
+    """Coordinates of all n+k items in their top min(k_hat, d, n + k) principal components.
 
     PCA runs on the latent item coordinates (points then centroids), treating
     the curve over k_hat as a bound on how well any k_hat-vector encoding can
-    communicate the geometry.
+    communicate the geometry. The set's k_hat records the width kept.
 
     Each component's sign is fixed by making its largest-magnitude loading
     positive, so repeated runs are deterministic.
     """
     matrix = dataset.all_items()
-    m, width = matrix.shape
-    if not 1 <= k_hat <= min(width, m):
-        raise ValueError(f"k_hat must lie in [1, {min(width, m)}], got {k_hat}")
+    k_hat = min(check_count("k_hat", k_hat, 1), *matrix.shape)
     centered = matrix - matrix.mean(axis=0, keepdims=True)
     u, s, vt = np.linalg.svd(centered, full_matrices=False)
     scores = u[:, :k_hat] * s[:k_hat]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_SEED_MAX = 2**64
+from .validate import check_count, check_real
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,10 @@ def generate_dataset(n: int, k: int, d: int, sigma: float = 0.5, seed: int = 0) 
     standard deviation `sigma`. Pure function of its arguments: the same
     (n, k, d, sigma, seed) always yields bit-identical contents.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    if not 0 <= seed < _SEED_MAX:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    for name, value, low in (("n", n, 1), ("k", k, 2), ("d", d, 1)):
+        check_count(name, value, low)
+    check_real("sigma", sigma)
+    check_count("seed", seed, 0, 2**64 - 1)
 
     rng = np.random.default_rng(seed)
     centroids = rng.standard_normal((k, d))

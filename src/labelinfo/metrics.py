@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gnmds import GramMatrix
+from .validate import check_count
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -21,8 +22,7 @@ def spearman(a, b) -> float:
     b = np.asarray(b, dtype=float).ravel()
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    if len(a) < 3:
-        raise ValueError(f"need at least 3 observations, got {len(a)}")
+    check_count("observation count", len(a), 3)
     ra = _average_ranks(a) - (len(a) + 1) / 2.0
     rb = _average_ranks(b) - (len(b) + 1) / 2.0
     denom = np.sqrt((ra * ra).sum() * (rb * rb).sum())

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import costbenefit, triplets
 from .costbenefit import TradeoffConfig
-from .gnmds import SolverConfig, check_count, check_real, solve
+from .gnmds import SolverConfig, solve
 from .labels import (CLASS_TRUNCATIONS, PARTIAL_KINDS, LabelKind, LabelSet, hard_labels,
                      pca_encode, smooth_labels, soft_labels, sparsify_labels,
                      topclass_labels, typicality_labels)
@@ -28,6 +28,7 @@ from .latentgen import LatentDataset, generate_dataset, similarity_matrix
 from .metrics import recovery_score
 from .render import rows_to_csv
 from .triplets import mine_constraints
+from .validate import check_count, check_real
 
 CELL_COLUMNS = ("n", "k", "d", "kind", "k_hat", "epsilon", "seed")  # name a cell
 SWEEP_COLUMNS = CELL_COLUMNS + (
@@ -100,16 +101,15 @@ class SweepSpec:
             object.__setattr__(self, name, tuple(getattr(self, name)))
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
-        for name, low in (("n_grid", 1), ("k_grid", 2), ("d_grid", 1)):
+        for name, low, high in (("n_grid", 1, None), ("k_grid", 2, None),
+                                ("d_grid", 1, triplets.MAX_ITEMS)):
             for value in getattr(self, name):
-                check_count(f"{name} value", value, low)
+                check_count(f"{name} value", value, low, high)
         check_count("reps", self.reps, 1)
         check_count("base_seed", self.base_seed, 0, 2**64 - 1)
-        check_real("sigma", self.sigma)
-        for eps in self.epsilon_grid:
-            check_real("flip rate", eps, "in [0, 1]", lambda e: 0 <= e <= 1)
-        object.__setattr__(self, "sigma", float(self.sigma))  # JSON's 1 writes and seeds as 1.0
-        object.__setattr__(self, "epsilon_grid", tuple(map(float, self.epsilon_grid)))
+        object.__setattr__(self, "sigma", check_real("sigma", self.sigma))  # JSON's 1 seeds as 1.0
+        object.__setattr__(self, "epsilon_grid", tuple(check_real(
+            "flip rate", rate, "in [0, 1]", lambda e: 0 <= e <= 1) for rate in self.epsilon_grid))
         # a signal that some cell cannot build would only fill rows with errors
         k, n = min(self.k_grid), min(self.n_grid)
         for signal in self.signals:
@@ -166,7 +166,7 @@ def build_labels(dataset: LatentDataset, signal: SignalSpec) -> LabelSet:
         reference = similarity_matrix(dataset.points)
         return topclass_labels(soft_labels(dataset), signal.k_hat, reference)
     if kind is LabelKind.PCA_COORDS:
-        return pca_encode(dataset, min(signal.k_hat, dataset.d, dataset.n + dataset.k))
+        return pca_encode(dataset, signal.k_hat)
     raise ValueError(f"no label builder for kind {kind!r}")
 
 

@@ -28,12 +28,14 @@ from math import comb
 import numpy as np
 
 from .labels import LabelKind, LabelSet
+from .validate import check_count, check_real
 
 # The largest set a sweep config or a constraint CSV may ask to mine and solve: at least 10x
 # the largest any workload, experiment or battery check uses (the mining workload's PCA set at
 # n = k = 40: 246,480 rows over 80 items). At MAX_ITEMS, an m x m float64 matrix is 5 MB, and
 # the largest class-label cell under MAX_ROWS (n = 7, k = 793: 2,214,849 rows) took 0.12-0.15 s
-# per solver iteration on 2 cores, so 4-5 minutes at the 2,000-iteration cap.
+# per solver iteration on 2 cores, so 4-5 minutes at the 2,000-iteration cap. MAX_ITEMS also
+# bounds a sweep's d: at d = 800 one dataset and its soft labels peaked at 258 MB (n = k = 135).
 MAX_ROWS = 2_500_000
 MAX_ITEMS = 800
 # A triplet field as numpy's loadtxt reads an int64: optional sign, ASCII digits.
@@ -79,8 +81,7 @@ def mine_constraints(labels: LabelSet, n_points: int) -> ConstraintSet:
         raise ValueError(f"n_points must lie in [0, {m}], got {n_points}")
     if not coordinates and values.shape[0] != n_points:
         raise ValueError(f"class labels have {values.shape[0]} rows, not n_points={n_points}")
-    if m > MAX_ITEMS:  # int16 rows hold every index below MAX_ITEMS, and no more
-        raise ValueError(f"{m} items exceed the item limit of {MAX_ITEMS}")
+    check_size(f"{labels.kind.value} labels", m, 0)  # int16 holds every index below MAX_ITEMS
     if coordinates:
         nearness = -_squared_distances(values)
         np.fill_diagonal(nearness, np.nan)  # an anchor is never its own near or far item
@@ -121,18 +122,16 @@ def count_hard(n: int, k: int) -> Fraction:
     n(k-1) point-anchored constraints plus n^2(1-1/k) centroid-anchored
     ones; exact rational, integral whenever k divides n^2.
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"n and k must be >= 1, got n={n}, k={k}")
+    check_count("n", n, 1)
+    check_count("k", k, 1)
     return Fraction(n) * (k - 1) + Fraction(n * n) * (k - 1) / k
 
 
 def count_soft(n: int, k: int) -> int:
     """Closed-form constraint count for n tie-free soft labels over k classes."""
-    if n < 1 or k < 1:
-        raise ValueError(f"n and k must be >= 1, got n={n}, k={k}")
-    prod = k * n * (k + n - 2)
-    assert prod % 2 == 0
-    return prod // 2
+    check_count("n", n, 1)
+    check_count("k", k, 1)
+    return k * n * (k + n - 2) // 2  # even: if k and n are both odd, k + n - 2 is even
 
 
 def count_queries(m: int) -> int:
@@ -142,16 +141,13 @@ def count_queries(m: int) -> int:
 
 def information_ratio(constraint_count, n: int, k: int) -> float:
     """Fraction of all 3*C(n+k, 3) unique queries answered by a constraint set."""
-    m = n + k
-    if m < 3:
-        raise ValueError(f"need n + k >= 3 items for any triplet query, got {m}")
-    return float(Fraction(constraint_count) / count_queries(m))
+    check_count("n + k", n + k, 3)
+    return float(Fraction(constraint_count) / count_queries(n + k))
 
 
 def apply_noise(constraints: ConstraintSet, epsilon: float, seed: int) -> ConstraintSet:
     """Independently swap near/far on each constraint with probability `epsilon`."""
-    if not 0 <= epsilon <= 1:
-        raise ValueError(f"flip rate must lie in [0, 1], got {epsilon}")
+    check_real("flip rate", epsilon, "in [0, 1]", lambda e: 0 <= e <= 1)
     source = constraints.triplets
     rng = np.random.default_rng(seed)
     flipped = np.flatnonzero(rng.random(source.shape[0]) < epsilon)

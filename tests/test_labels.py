@@ -360,8 +360,9 @@ def test_pca_rejects_bad_rank():
     ds = generate_dataset(n=4, k=2, d=3, seed=0)
     with pytest.raises(ValueError):
         pca_encode(ds, 0)
-    with pytest.raises(ValueError):
-        pca_encode(ds, 4)  # k_hat > d
+    capped = pca_encode(ds, 4)  # k_hat > d keeps the d = 3 components there are
+    assert capped.k_hat == 3 and capped.values.shape == (6, 3)
+    assert np.array_equal(capped.values, pca_encode(ds, 3).values)
 
 
 @settings(deadline=None, max_examples=40)

@@ -745,7 +745,9 @@ def test_cli_embed_rejects_a_bad_rank_before_solving(tmp_path, monkeypatch, caps
     ({"base_seed": -1}, {"base_seed": -1}),
     ({"base_seed": 2**64}, {"base_seed": 2**64}),
     ({"signals": [{"kind": "sparse", "k_hat": 2.5}]}, {"k_hat_grid": [2.5]}),
-], ids=["reps", "n", "d", "max_iterations", "bool_n", "negative_seed", "huge_seed", "k_hat"])
+    ({"d_grid": [801]}, {"d": 801}),  # d is bounded by the item limit, MAX_ITEMS
+], ids=["reps", "n", "d", "max_iterations", "bool_n", "negative_seed", "huge_seed", "k_hat",
+        "d_past_item_limit"])
 def test_cli_sweeps_reject_counts_that_are_not_integers(tmp_path, capsys, sweep_config,
                                                          sparsity_config):
     with pytest.raises(ValueError, match="must be an integer"):
